@@ -2,7 +2,12 @@ package experiment
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +33,89 @@ func goldenScale() Scale {
 		Intermediates:  1,
 		LossRate:       0.10,
 		BaseSeed:       7,
+	}
+}
+
+// update rewrites the committed goldens under testdata/golden instead of
+// comparing against them:
+//
+//	go test ./internal/experiment -run TestGoldenScenarioJSON -update
+//
+// Regenerate only when a change moves a scenario's behaviour on purpose,
+// and say which scenarios moved and why in the commit.
+var update = flag.Bool("update", false, "rewrite testdata/golden/*.json from the current code")
+
+// goldenDir holds one committed JSON document per registered scenario.
+const goldenDir = "testdata/golden"
+
+// emitGolden runs one scenario serially at goldenScale and the scenario's
+// default shard count and renders it through the shared JSON emitter.
+func emitGolden(t *testing.T, sc *Scenario) []byte {
+	t.Helper()
+	res, err := Runner{Workers: 1}.Run(sc, goldenScale(), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trials[0].Transmissions == 0 {
+		t.Fatal("golden run put no frames on the air; scale too small to prove anything")
+	}
+	var buf bytes.Buffer
+	if err := EmitRun(&buf, FormatJSON, res); err != nil {
+		t.Fatalf("emit: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenScenarioJSON pins every registered scenario's emitted JSON
+// across changes, byte for byte, against the documents committed under
+// testdata/golden. The in-process A-vs-B gates below prove two backends
+// agree with each other; this one proves the code agrees with what it
+// produced when the goldens were written, so a change that moves both
+// sides of a comparison still fails here. A scenario without a golden, or
+// a golden without a scenario, fails too.
+func TestGoldenScenarioJSON(t *testing.T) {
+	t.Parallel()
+	want := map[string]bool{}
+	for _, sc := range Scenarios() {
+		want[sc.Name+".json"] = true
+	}
+	files, err := filepath.Glob(filepath.Join(goldenDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale []string
+	for _, f := range files {
+		if !want[filepath.Base(f)] {
+			stale = append(stale, f)
+		}
+	}
+	sort.Strings(stale)
+	if len(stale) > 0 && !*update {
+		t.Errorf("goldens for unregistered scenarios: %s", strings.Join(stale, ", "))
+	}
+	for _, sc := range Scenarios() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
+			got := emitGolden(t, sc)
+			path := filepath.Join(goldenDir, sc.Name+".json")
+			if *update {
+				if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			committed, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("no committed golden (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(committed, got) {
+				t.Errorf("emitted JSON diverged from %s\ncommitted: %s\ngot:       %s", path, committed, got)
+			}
+		})
 	}
 }
 
