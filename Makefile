@@ -83,34 +83,33 @@ bench-check:
 plan:
 	$(GO) run ./cmd/dapes-plan run plans/ci-smoke.toml -workers=4
 
+# The S=1-vs-S=4 smokes share one recipe: $(call s1-vs-s4,<plan>,<name>,<message>)
+# runs plans/<plan>.toml once on the single stripe (the sequential
+# simulation) and once at 4 density-balanced stripes, and fails if the
+# completed/downloaders columns of the two JSON-lines streams diverge. The
+# relaxed S>1 trace contract lets times and transmission counts differ;
+# what gets downloaded must not.
+define s1-vs-s4
+	$(GO) run ./cmd/dapes-plan run plans/$(1).toml -shards=1 -o /dev/null > /tmp/dapes-$(2)-1.jsonl
+	$(GO) run ./cmd/dapes-plan run plans/$(1).toml -shards=4 -o /dev/null > /tmp/dapes-$(2)-4.jsonl
+	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-$(2)-1.jsonl > /tmp/dapes-$(2)-1.agg
+	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-$(2)-4.jsonl > /tmp/dapes-$(2)-4.agg
+	@diff /tmp/dapes-$(2)-1.agg /tmp/dapes-$(2)-4.agg
+	@echo "$(2): $(3)"
+endef
+
 # The shard-scaling smoke: the committed metro-smoke plan (urban-metro's
-# 25x mix at a tiny scale) once on the sequential-equivalent single stripe
-# and once at the scenario's default 4 density-balanced stripes. The
-# relaxed S>1 trace contract means times and transmission counts
-# legitimately differ between the runs; the aggregate completion
-# statistics must not — the target fails if the completed/downloaders
-# columns of the two JSON-lines streams diverge.
+# 25x mix at a tiny scale) at S=1 and at the scenario's default S=4.
 shard-smoke:
-	$(GO) run ./cmd/dapes-plan run plans/metro-smoke.toml -shards=1 -o /dev/null > /tmp/dapes-shard-smoke-1.jsonl
-	$(GO) run ./cmd/dapes-plan run plans/metro-smoke.toml -shards=4 -o /dev/null > /tmp/dapes-shard-smoke-4.jsonl
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-shard-smoke-1.jsonl > /tmp/dapes-shard-smoke-1.agg
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-shard-smoke-4.jsonl > /tmp/dapes-shard-smoke-4.agg
-	@diff /tmp/dapes-shard-smoke-1.agg /tmp/dapes-shard-smoke-4.agg
-	@echo "shard-smoke: S=1 and S=4 completion aggregates agree"
+	$(call s1-vs-s4,metro-smoke,shard-smoke,S=1 and S=4 completion aggregates agree)
 
 # The chaos smoke: the committed chaos-smoke plan (urban-grid-chaos with
 # crashes, cold restarts, and Gilbert-Elliott bursty loss) at S=1 and
 # S=4. The fault schedule is a pure function of (seed, plan) — the same
-# nodes crash at the same virtual times in both runs — so the aggregate
-# completion statistics must agree even though the relaxed S>1 trace
-# contract lets times and transmission counts differ.
+# nodes crash at the same virtual times in both runs — so completions
+# under churn must agree across shard counts.
 chaos-smoke:
-	$(GO) run ./cmd/dapes-plan run plans/chaos-smoke.toml -shards=1 -o /dev/null > /tmp/dapes-chaos-smoke-1.jsonl
-	$(GO) run ./cmd/dapes-plan run plans/chaos-smoke.toml -shards=4 -o /dev/null > /tmp/dapes-chaos-smoke-4.jsonl
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-chaos-smoke-1.jsonl > /tmp/dapes-chaos-smoke-1.agg
-	@sed -E 's/.*("completed":[0-9]+,"downloaders":[0-9]+).*/\1/' /tmp/dapes-chaos-smoke-4.jsonl > /tmp/dapes-chaos-smoke-4.agg
-	@diff /tmp/dapes-chaos-smoke-1.agg /tmp/dapes-chaos-smoke-4.agg
-	@echo "chaos-smoke: S=1 and S=4 completions under churn agree"
+	$(call s1-vs-s4,chaos-smoke,chaos-smoke,S=1 and S=4 completions under churn agree)
 
 # The perf-trajectory report: load every committed BENCH_*.json snapshot,
 # render the per-metric series across PRs, and fail if any gated metric
@@ -119,17 +118,19 @@ chaos-smoke:
 plan-report:
 	$(GO) run ./cmd/dapes-plan report -fail-on-breach
 
-# The determinism gates: grid==naive, wheel==heap, and sharded==sequential
+# The determinism gates: every registered scenario's emitted JSON against
+# its committed golden (testdata/golden), grid==naive and wheel==heap
 # byte-identical for every registered scenario, baselines identical across
-# reruns, the kernel's randomized-churn equivalence properties (including
-# serial==parallel window execution, the retired spawn scheduler vs the
-# persistent workers, and batched vs lockstep windowing for the sharded
-# kernel), trace-neutrality of the boundary-mask cull, and the forwarder's
-# zero-alloc lookup contract.
+# reruns, serial==parallel and batched==lockstep sharded trials, the
+# layer-level S=1 bridges (one-stripe sharded kernel and medium vs the
+# plain ones), the kernel's randomized-churn equivalence properties,
+# trace-neutrality of the boundary-mask cull, and the forwarder's
+# zero-alloc lookup contract. TestGateListsNameRealTests fails if a name
+# below no longer exists.
 golden:
-	$(GO) test -run 'TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestGoldenTraceShardedMatchesSequential|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep' -count=1 ./internal/experiment/
+	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep' -count=1 ./internal/experiment/
 	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral' -count=1 ./internal/phy/
-	$(GO) test -run 'TestWheelMatchesHeapUnderChurn|TestCancelReclaimsQueueSpace|TestTimerResetDoesNotAllocate|TestShardedSingleShardMatchesKernel|TestShardedSerialMatchesParallel|TestShardedSpawnMatchesWorkers|TestWindowBatchingMatchesLockstep|TestShardedCloseLifecycle' -count=1 ./internal/sim/
+	$(GO) test -run 'TestWheelMatchesHeapUnderChurn|TestCancelReclaimsQueueSpace|TestTimerResetDoesNotAllocate|TestShardedSingleShardMatchesKernel|TestShardedSerialMatchesParallel|TestWindowBatchingMatchesLockstep|TestShardedCloseLifecycle' -count=1 ./internal/sim/
 	$(GO) test -run 'TestLookupPathsDoNotAllocate' -count=1 ./internal/nfd/
 
 # The example binaries, built and executed end to end: each must exit 0

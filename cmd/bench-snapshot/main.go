@@ -16,8 +16,7 @@
 //   - scenarios: download time, transmissions, and total allocations for
 //     the dense urban-grid scenarios at a small fixed scale
 //   - shard: the shard-scaling section — wall-clock of one dense trial on
-//     the sequential kernel versus the space-partitioned kernel at 2 and 4
-//     stripes, plus the headline urban-metro trial (50k nodes, 4 stripes)
+//     one stripe (the sequential simulation) versus 2 and 4 stripes, plus the headline urban-metro trial (50k nodes, 4 stripes)
 //     at the plan scale of plans/urban-metro.toml. Times are informational
 //     (they move with hardware and cores); the section's allocs/op gate at
 //     a relative +50% like the dense scenarios.
@@ -222,49 +221,41 @@ func kernelBenches() []Bench {
 	}
 }
 
-// shardBenches measures the parallel kernel: one dense trial
-// (urban-grid-xl's 25x mix at a short horizon) on the sequential
-// reference versus the partitioned kernel at 2 and 4 stripes with the
-// relaxed urban-metro lookahead, plus the headline metro trial — the
-// urban-metro scenario at the exact [scale] of plans/urban-metro.toml
-// (50,003 nodes, 4 density-balanced stripes). Wall-clock is recorded for
-// the speedup trend; allocs/op gate at +50% in bench-check.
+// shardBenches measures the parallel kernel through the registered
+// urban-metro trial: one dense trial (urban-grid-xl's 25x mix in its 900 m
+// area at a short horizon) on one stripe — the sequential simulation —
+// and on 2 and 4 stripes, plus the headline metro trial at the exact
+// [scale] of plans/urban-metro.toml (50,003 nodes, 4 density-balanced
+// stripes). Every entry runs under the scenario's relaxed lookahead.
+// Wall-clock is recorded for the speedup trend; allocs/op gate at +50% in
+// bench-check.
 func shardBenches() []Bench {
+	const wifiRange = 60.0
+	sc, ok := experiment.Lookup("urban-metro")
+	if !ok {
+		fmt.Fprintln(os.Stderr, "bench-snapshot: scenario urban-metro not registered")
+		os.Exit(1)
+	}
+	trial := func(s experiment.Scale, shards int) func(b *testing.B) {
+		s.Shards = shards
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sc.Run(s, wifiRange, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	// The scenario multiplies the mobile mix by 25; a set AreaSide keeps
+	// urban-grid-xl's 900 m edge instead of the density-preserving one.
 	dense := experiment.ReducedScale()
 	dense.Trials = 1
 	dense.NumFiles = 1
 	dense.PacketsPerFile = 8
 	dense.PacketSize = 200
 	dense.Horizon = 10 * time.Second
-	dense.MobileDown *= 25
-	dense.PureForwarders *= 25
-	dense.Intermediates *= 25
 	dense.AreaSide = 900
-	const wifiRange = 60.0
-	opts := experiment.PaperDefaults()
-	la := 10 * phy.Config{Range: wifiRange, LossRate: dense.LossRate}.ConservativeLookahead()
-
-	trial := func(shards int) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				if shards <= 0 {
-					prev := experiment.SetDefaultShards(-1)
-					_, err = experiment.RunDAPESTrial(dense, wifiRange, 0, opts)
-					experiment.SetDefaultShards(prev)
-				} else {
-					_, err = experiment.RunShardedDAPESTrial(dense, wifiRange, 0, opts, shards, la)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	// The metro trial runs the registered urban-metro scenario (which
-	// multiplies the mobile mix by 25 and scales the area to the paper's
-	// density) at the plan's exact [scale]: 2+8+1912+80 expands to 50,003
-	// nodes on 4 stripes under the scenario's own relaxed lookahead.
+	// The plan's exact [scale]: 2+8+1912+80 expands to 50,003 nodes.
 	metro := experiment.ReducedScale()
 	metro.Trials = 1
 	metro.NumFiles = 1
@@ -276,21 +267,12 @@ func shardBenches() []Bench {
 	metro.PureForwarders = 1912
 	metro.Intermediates = 80
 	metro.BaseSeed = 11
-	metro.Shards = 4
-	metroSC, _ := experiment.Lookup("urban-metro")
-	metroTrial := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := metroSC.Run(metro, wifiRange, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 
 	return []Bench{
-		bench("shard/urban-dense-trial/sequential", trial(0)),
-		bench("shard/urban-dense-trial/shards=2", trial(2)),
-		bench("shard/urban-dense-trial/shards=4", trial(4)),
-		bench("shard/urban-metro-trial/shards=4", metroTrial),
+		bench("shard/urban-dense-trial/sequential", trial(dense, 1)),
+		bench("shard/urban-dense-trial/shards=2", trial(dense, 2)),
+		bench("shard/urban-dense-trial/shards=4", trial(dense, 4)),
+		bench("shard/urban-metro-trial/shards=4", trial(metro, 4)),
 	}
 }
 

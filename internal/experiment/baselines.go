@@ -9,20 +9,24 @@ import (
 	"dapes/internal/routing"
 )
 
+// The baselines run on a one-stripe Fig.-7 world: the sequential
+// simulation, with node motion identical to the DAPES trial's.
+
 // RunBithocTrial executes one Fig.-7 trial of the Bithoc baseline: DSDV
 // proactive routing, scoped HELLO flooding, TCP-like piece transfer. The 20
 // non-downloading mobile nodes run plain DSDV and forward by routing table,
 // matching the paper's setup.
 func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	topo := buildTopology(s, wifiRange, trial)
+	topo := buildTopology(s, wifiRange, trial, 1, 0)
+	k, med := topo.sk.Shard(0), topo.sm.Medium(0)
 	pieces := s.TotalPackets()
 
-	seed := bithoc.NewPeer(topo.kernel, topo.medium, topo.producerMobility, bithoc.Config{})
+	seed := bithoc.NewPeer(k, med, topo.producerMobility, bithoc.Config{})
 	seed.Seed(pieces, s.PacketSize)
 
 	var downloaders []*bithoc.Peer
 	addDownloader := func(m geo.Mobility) {
-		p := bithoc.NewPeer(topo.kernel, topo.medium, m, bithoc.Config{})
+		p := bithoc.NewPeer(k, med, m, bithoc.Config{})
 		p.Fetch(pieces, s.PacketSize)
 		downloaders = append(downloaders, p)
 	}
@@ -35,7 +39,7 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 
 	var routers []*routing.DSDV
 	for _, m := range topo.forwarderMobility {
-		routers = append(routers, routing.NewDSDV(topo.kernel, topo.medium, m, routing.DSDVConfig{}))
+		routers = append(routers, routing.NewDSDV(k, med, m, routing.DSDVConfig{}))
 	}
 
 	seed.Start()
@@ -46,7 +50,7 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 		r.Start()
 	}
 
-	topo.kernel.RunUntil(s.Horizon, func() bool {
+	k.RunUntil(s.Horizon, func() bool {
 		for _, p := range downloaders {
 			if done, _ := p.Done(); !done {
 				return false
@@ -66,7 +70,7 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 	}
 	return TrialResult{
 		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   topo.medium.Stats().Transmissions,
+		Transmissions:   med.Stats().Transmissions,
 		Completed:       completed,
 		Downloaders:     len(downloaders),
 	}, nil
@@ -75,15 +79,16 @@ func RunBithocTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) 
 // RunEktaTrial executes one Fig.-7 trial of the Ekta baseline: DSR reactive
 // routing, Pastry-style DHT object location, UDP-like transfers.
 func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
-	topo := buildTopology(s, wifiRange, trial)
+	topo := buildTopology(s, wifiRange, trial, 1, 0)
+	k, med := topo.sk.Shard(0), topo.sm.Medium(0)
 	pieces := s.TotalPackets()
 	const swarm = "field-report"
 
-	seedPeer := ekta.NewPeer(topo.kernel, topo.medium, topo.producerMobility, ekta.Config{})
+	seedPeer := ekta.NewPeer(k, med, topo.producerMobility, ekta.Config{})
 
 	var downloaders []*ekta.Peer
 	addDownloader := func(m geo.Mobility) {
-		p := ekta.NewPeer(topo.kernel, topo.medium, m, ekta.Config{})
+		p := ekta.NewPeer(k, med, m, ekta.Config{})
 		downloaders = append(downloaders, p)
 	}
 	for _, pos := range topo.stationaryPos {
@@ -95,7 +100,7 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 
 	var routers []*routing.DSR
 	for _, m := range topo.forwarderMobility {
-		routers = append(routers, routing.NewDSR(topo.kernel, topo.medium, m, routing.DSRConfig{}))
+		routers = append(routers, routing.NewDSR(k, med, m, routing.DSRConfig{}))
 	}
 
 	seedPeer.Start()
@@ -109,7 +114,7 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 		p.Join(seedPeer.ID())
 	}
 
-	topo.kernel.RunUntil(s.Horizon, func() bool {
+	k.RunUntil(s.Horizon, func() bool {
 		for _, p := range downloaders {
 			if done, _ := p.Done(); !done {
 				return false
@@ -129,7 +134,7 @@ func RunEktaTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
 	}
 	return TrialResult{
 		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   topo.medium.Stats().Transmissions,
+		Transmissions:   med.Stats().Transmissions,
 		Completed:       completed,
 		Downloaders:     len(downloaders),
 	}, nil

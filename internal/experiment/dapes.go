@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dapes/internal/core"
+	"dapes/internal/fault"
 	"dapes/internal/geo"
 	"dapes/internal/multihop"
 	"dapes/internal/ndn"
@@ -46,39 +47,62 @@ func (o DAPESOptions) coreConfig() core.Config {
 	}
 }
 
-// RunDAPESTrial executes one Fig.-7 trial of the DAPES stack and returns its
-// metrics. When Scale.Shards (or the SetDefaultShards package default)
-// selects a shard count, the trial runs on the space-partitioned parallel
-// kernel instead of the sequential reference; see RunShardedDAPESTrial for
-// the equivalence and relaxation contract.
+// RunDAPESTrial executes one Fig.-7 trial of the DAPES stack on
+// Scale.Shards stripes (0 means one) under the conservative lookahead and
+// returns its metrics.
 func RunDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	if n := resolveShards(s); n > 0 {
-		return RunShardedDAPESTrial(s, wifiRange, trial, opts, n, 0)
-	}
-	return runSequentialDAPESTrial(s, wifiRange, trial, opts)
+	return runDAPESTrial(s, wifiRange, trial, opts, 0)
 }
 
-// runSequentialDAPESTrial is the single-kernel reference implementation.
-func runSequentialDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions) (TrialResult, error) {
-	topo := buildTopology(s, wifiRange, trial)
-	installMediumFaults(topo.medium, s.Faults, TrialSeed(s.BaseSeed, trial))
+// runDAPESTrial is the one DAPES trial body. The world is cut into
+// max(Scale.Shards, 1) density-balanced stripes advancing in lookahead
+// windows (non-positive selects phy.Config.ConservativeLookahead, under
+// which no in-flight frame can span a window edge). One stripe is the
+// sequential simulation.
+//
+// With more than one stripe the global-trace contract is relaxed,
+// deliberately and deterministically:
+//
+//   - each stripe's kernel draws from its own seeded RNG stream
+//     (sim.ShardSeed), so jitter draws differ from the one-stripe schedule;
+//   - cross-stripe broadcasts register at the next window barrier, so a
+//     reception completing earlier in the same window cannot collide with
+//     them, and a relaxed (larger) lookahead delays cross-stripe delivery
+//     by up to one window;
+//   - PEBA overhearing-based suppression sees only same-stripe traffic
+//     between barriers.
+//
+// The whole schedule remains a pure function of (BaseSeed, trial, shards,
+// lookahead): serial and parallel window execution are byte-identical,
+// which TestShardedTrialSerialMatchesParallel gates.
+func runDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, lookahead time.Duration) (TrialResult, error) {
+	topo := buildTopology(s, wifiRange, trial, max(s.Shards, 1), lookahead)
+	defer topo.sk.Close()
+	seed := TrialSeed(s.BaseSeed, trial)
+	for i := 0; i < topo.sk.Shards(); i++ {
+		installMediumFaults(topo.sm.Medium(i), s.Faults, seed)
+	}
 	res, err := buildCollection(s, s.BaseSeed+int64(trial))
 	if err != nil {
 		return TrialResult{}, err
 	}
 	collection := res.Manifest.Collection
 	cfg := opts.coreConfig()
+	peer := func(m geo.Mobility) *core.Peer {
+		k, med := topo.home(m)
+		return core.NewPeer(k, med, m, nil, nil, cfg)
+	}
 
-	producer := core.NewPeer(topo.kernel, topo.medium, topo.producerMobility, nil, nil, cfg)
+	producer := peer(topo.producerMobility)
 	if err := producer.Publish(res); err != nil {
 		return TrialResult{}, err
 	}
 
-	var downloaders []*core.Peer
+	var ps dapesPeers
 	addDownloader := func(m geo.Mobility) {
-		p := core.NewPeer(topo.kernel, topo.medium, m, nil, nil, cfg)
+		p := peer(m)
 		p.Subscribe(collection)
-		downloaders = append(downloaders, p)
+		ps.downloaders = append(ps.downloaders, p)
 	}
 	for _, pos := range topo.stationaryPos {
 		addDownloader(geo.Stationary{At: pos})
@@ -87,60 +111,73 @@ func runSequentialDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOp
 		addDownloader(m)
 	}
 
-	var pures []*multihop.PureForwarder
-	var intermediates []*core.Peer
 	for i, m := range topo.forwarderMobility {
 		if i < s.PureForwarders {
-			pures = append(pures, multihop.NewPureForwarder(topo.kernel, topo.medium, m,
+			k, med := topo.home(m)
+			ps.pures = append(ps.pures, multihop.NewPureForwarder(k, med, m,
 				multihop.Config{ForwardProb: opts.ForwardProb}))
 			continue
 		}
 		// DAPES-aware intermediates: understand the semantics, forward based
 		// on overheard knowledge, but do not download.
-		p := core.NewPeer(topo.kernel, topo.medium, m, nil, nil, cfg)
-		intermediates = append(intermediates, p)
+		ps.intermediates = append(ps.intermediates, peer(m))
 	}
 
 	producer.Start()
-	for _, p := range downloaders {
+	for _, p := range ps.downloaders {
 		p.Start()
 	}
 	if opts.Multihop {
-		for _, f := range pures {
+		for _, f := range ps.pures {
 			f.Start()
 		}
-		for _, p := range intermediates {
+		for _, p := range ps.intermediates {
 			p.Start()
 		}
 	}
 
-	sched, faultsUntil := scheduleCrashes(s.Faults, TrialSeed(s.BaseSeed, trial), downloaders, intermediates)
+	sched, faultsUntil := scheduleCrashes(s.Faults, seed, ps.downloaders, ps.intermediates)
+	return topo.runDAPES(collection, ps, sched, s.Horizon, faultsUntil), nil
+}
 
-	topo.kernel.RunUntil(s.Horizon, func() bool {
-		if topo.kernel.Now() < faultsUntil {
+// dapesPeers are one trial's DAPES nodes by role, in world build order.
+type dapesPeers struct {
+	downloaders, intermediates []*core.Peer
+	pures                      []*multihop.PureForwarder
+}
+
+// allDownloaded reports whether every downloader holds the collection: the
+// stop condition of every DAPES trial.
+func allDownloaded(collection ndn.Name, downloaders []*core.Peer) bool {
+	for _, p := range downloaders {
+		if done, _ := p.Done(collection); !done {
 			return false
 		}
-		for _, p := range downloaders {
-			if done, _ := p.Done(collection); !done {
-				return false
-			}
-		}
-		return true
-	})
+	}
+	return true
+}
 
-	result := collectDAPES(topo.medium.Stats().Transmissions, collection, downloaders, intermediates, pures, s.Horizon)
-	chaosStats(&result, sched, downloaders, collection)
-	return result, nil
+// runDAPES drives the world until every downloader holds the collection or
+// the horizon passes, then folds the trial into a TrialResult. It never
+// stops before faultsUntil: a still-pending crash can undo a completion
+// the condition just observed.
+func (w world) runDAPES(collection ndn.Name, ps dapesPeers, sched fault.Schedule, horizon, faultsUntil time.Duration) TrialResult {
+	w.sk.RunUntil(horizon, func() bool {
+		return w.sk.Now() >= faultsUntil && allDownloaded(collection, ps.downloaders)
+	})
+	result := collectDAPES(w.sm.Stats().Transmissions, collection, ps, horizon)
+	chaosStats(&result, sched, ps.downloaders, collection)
+	return result
 }
 
 // collectDAPES folds one finished trial's peers into a TrialResult; tx is
-// the medium's (or sharded medium's summed) transmission counter.
-func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*core.Peer, pures []*multihop.PureForwarder, horizon time.Duration) TrialResult {
+// the medium's transmission counter.
+func collectDAPES(tx uint64, collection ndn.Name, ps dapesPeers, horizon time.Duration) TrialResult {
 	var total time.Duration
 	completed := 0
 	memory := 0
 	var fwd, answered uint64
-	for _, p := range downloaders {
+	for _, p := range ps.downloaders {
 		done, at := p.Done(collection)
 		if done {
 			completed++
@@ -150,12 +187,12 @@ func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*
 		fwd += p.Stats().InterestsForwarded
 		answered += p.Stats().ForwardedAnswered
 	}
-	for _, p := range intermediates {
+	for _, p := range ps.intermediates {
 		memory += p.MemoryFootprint()
 		fwd += p.Stats().InterestsForwarded
 		answered += p.Stats().ForwardedAnswered
 	}
-	for _, f := range pures {
+	for _, f := range ps.pures {
 		fwd += f.Stats().InterestsForwarded
 		answered += f.Stats().ForwardedAnswered
 	}
@@ -164,10 +201,10 @@ func collectDAPES(tx uint64, collection ndn.Name, downloaders, intermediates []*
 		acc = float64(answered) / float64(fwd)
 	}
 	return TrialResult{
-		AvgDownloadTime: total / time.Duration(len(downloaders)),
+		AvgDownloadTime: total / time.Duration(len(ps.downloaders)),
 		Transmissions:   tx,
 		Completed:       completed,
-		Downloaders:     len(downloaders),
+		Downloaders:     len(ps.downloaders),
 		ForwardAccuracy: acc,
 		MemoryBytes:     memory,
 	}

@@ -11,12 +11,10 @@ import (
 )
 
 // This file wires a Scale's fault plan (internal/fault) into a built DAPES
-// trial. The wiring is mirrored exactly between the sequential and the
-// sharded trial paths — same eligible-peer order, same seed split, same
-// installation point (after every Start, before RunUntil) — so a one-shard
-// faulted run stays byte-identical to the sequential faulted run, and a
-// nil or empty plan leaves both paths untouched (the trace-neutrality gate
-// in fault_test.go).
+// trial at any shard count — same eligible-peer order, same seed split,
+// same installation point (after every Start, before RunUntil) — and a nil
+// or empty plan leaves the trial untouched (the trace-neutrality gate in
+// fault_test.go).
 
 // installMediumFaults installs the plan's loss model and jammer on one
 // medium. In a sharded composition call it once per member medium with the
@@ -47,7 +45,7 @@ func installMediumFaults(m *phy.Medium, f *fault.Plan, seed int64) {
 
 // scheduleCrashes compiles the plan against the trial's fault-eligible
 // peers — downloaders then protocol-aware intermediates, in world build
-// order, identical across the sequential and sharded paths — and installs
+// order, identical at every shard count — and installs
 // each crash/restart event on the victim's home kernel. It returns the
 // compiled schedule and the virtual time after which no fault event
 // remains pending: a trial must not early-exit before that time, because a

@@ -48,14 +48,15 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/*.json from the
 // goldenDir holds one committed JSON document per registered scenario.
 const goldenDir = "testdata/golden"
 
-// emitGolden runs one scenario serially at goldenScale and the scenario's
-// default shard count and renders it through the shared JSON emitter.
-func emitGolden(t *testing.T, sc *Scenario) []byte {
+// runGolden runs one scenario serially at s and renders it through the
+// shared JSON emitter.
+func runGolden(t *testing.T, sc *Scenario, s Scale) (RunResult, []byte) {
 	t.Helper()
-	res, err := Runner{Workers: 1}.Run(sc, goldenScale(), 60)
+	res, err := Runner{Workers: 1}.Run(sc, s, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Guard against a degenerate world where any comparison is vacuous.
 	if res.Trials[0].Transmissions == 0 {
 		t.Fatal("golden run put no frames on the air; scale too small to prove anything")
 	}
@@ -63,12 +64,13 @@ func emitGolden(t *testing.T, sc *Scenario) []byte {
 	if err := EmitRun(&buf, FormatJSON, res); err != nil {
 		t.Fatalf("emit: %v", err)
 	}
-	return buf.Bytes()
+	return res, buf.Bytes()
 }
 
 // TestGoldenScenarioJSON pins every registered scenario's emitted JSON
 // across changes, byte for byte, against the documents committed under
-// testdata/golden. The in-process A-vs-B gates below prove two backends
+// testdata/golden: each scenario runs serially at goldenScale and its
+// default shard count. The backend gates below prove two implementations
 // agree with each other; this one proves the code agrees with what it
 // produced when the goldens were written, so a change that moves both
 // sides of a comparison still fails here. A scenario without a golden, or
@@ -97,7 +99,7 @@ func TestGoldenScenarioJSON(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			got := emitGolden(t, sc)
+			_, got := runGolden(t, sc, goldenScale())
 			path := filepath.Join(goldenDir, sc.Name+".json")
 			if *update {
 				if err := os.MkdirAll(goldenDir, 0o755); err != nil {
@@ -119,114 +121,48 @@ func TestGoldenScenarioJSON(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceGridMatchesNaive is the optimization's acceptance gate:
-// for every registered scenario, the grid-indexed medium must reproduce the
-// brute-force scan's results exactly — identical per-trial metrics
-// (download times, delivery/transmission counts, forwarding accuracy,
-// memory) and byte-identical emitted JSON. Any divergence means the spatial
-// index changed simulation behavior, which it must never do.
-//
-// The test flips the package-wide default index; because both modes are
-// equivalent by construction, tests running concurrently in this package
-// cannot observe a difference (the knob itself is atomic).
-func TestGoldenTraceGridMatchesNaive(t *testing.T) {
-	s := goldenScale()
-	prev := phy.SetDefaultIndex(phy.IndexNaive)
-	defer phy.SetDefaultIndex(prev)
-
-	run := func(t *testing.T, sc *Scenario, mode phy.IndexMode) (RunResult, []byte) {
-		t.Helper()
-		phy.SetDefaultIndex(mode)
-		res, err := Runner{Workers: 1}.Run(sc, s, 60)
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		var buf bytes.Buffer
-		if err := EmitRun(&buf, FormatJSON, res); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		return res, buf.Bytes()
-	}
-
+// backendGate runs every registered scenario on the production backends
+// and on the reference ref selects, and requires identical results and
+// byte-identical emitted JSON. Backends are chosen per run, so the two
+// sides cannot silently share a mode.
+func backendGate(t *testing.T, refName string, ref Backends) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			naiveRes, naiveJSON := run(t, sc, phy.IndexNaive)
-			gridRes, gridJSON := run(t, sc, phy.IndexGrid)
-
-			if !reflect.DeepEqual(naiveRes, gridRes) {
-				t.Errorf("RunResult diverged\nnaive: %+v\ngrid:  %+v", naiveRes, gridRes)
+			t.Parallel()
+			s := goldenScale()
+			prodRes, prodJSON := runGolden(t, sc, s)
+			s.Backends = ref
+			refRes, refJSON := runGolden(t, sc, s)
+			if !reflect.DeepEqual(refRes, prodRes) {
+				t.Errorf("RunResult diverged\n%s: %+v\nproduction: %+v", refName, refRes, prodRes)
 			}
-			for i := range naiveRes.Trials {
-				if naiveRes.Trials[i] != gridRes.Trials[i] {
-					t.Errorf("trial %d diverged\nnaive: %+v\ngrid:  %+v",
-						i, naiveRes.Trials[i], gridRes.Trials[i])
-				}
-			}
-			if !bytes.Equal(naiveJSON, gridJSON) {
-				t.Errorf("emitted JSON diverged\nnaive: %s\ngrid:  %s", naiveJSON, gridJSON)
-			}
-			// Guard against a degenerate world where equivalence is vacuous.
-			if naiveRes.Trials[0].Transmissions == 0 {
-				t.Error("golden run put no frames on the air; scale too small to prove anything")
+			if !bytes.Equal(refJSON, prodJSON) {
+				t.Errorf("emitted JSON diverged\n%s: %s\nproduction: %s", refName, refJSON, prodJSON)
 			}
 		})
 	}
 }
 
+// TestGoldenTraceGridMatchesNaive is the spatial index's acceptance gate:
+// for every registered scenario, the grid-indexed medium must reproduce
+// the brute-force scan's results exactly — identical per-trial metrics
+// (download times, delivery/transmission counts, forwarding accuracy,
+// memory) and byte-identical emitted JSON. Any divergence means the
+// spatial index changed simulation behavior, which it must never do.
+func TestGoldenTraceGridMatchesNaive(t *testing.T) {
+	t.Parallel()
+	backendGate(t, "naive", Backends{Index: phy.IndexNaive})
+}
+
 // TestGoldenTraceWheelMatchesHeap is the event-kernel acceptance gate: for
 // every registered scenario, the timer-wheel scheduler must reproduce the
-// reference binary heap exactly — identical per-trial metrics and
-// byte-identical emitted JSON. Any divergence means the wheel changed event
-// execution order, which it must never do: both queues pop strictly by
-// (time, sequence), so the trace is queue-independent by construction.
-//
-// Like the spatial-index gate above, the test flips the package-wide
-// default; both kinds are equivalent, so concurrent tests cannot observe
-// the flip (the knob is atomic).
+// reference binary heap exactly. Both queues pop strictly by (time,
+// sequence), so the trace is queue-independent by construction; any
+// divergence means the wheel changed event execution order.
 func TestGoldenTraceWheelMatchesHeap(t *testing.T) {
-	s := goldenScale()
-	prev := sim.SetDefaultQueue(sim.QueueHeap)
-	defer sim.SetDefaultQueue(prev)
-
-	run := func(t *testing.T, sc *Scenario, kind sim.QueueKind) (RunResult, []byte) {
-		t.Helper()
-		sim.SetDefaultQueue(kind)
-		res, err := Runner{Workers: 1}.Run(sc, s, 60)
-		if err != nil {
-			t.Fatalf("queue %d: %v", kind, err)
-		}
-		var buf bytes.Buffer
-		if err := EmitRun(&buf, FormatJSON, res); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		return res, buf.Bytes()
-	}
-
-	for _, sc := range Scenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			heapRes, heapJSON := run(t, sc, sim.QueueHeap)
-			wheelRes, wheelJSON := run(t, sc, sim.QueueWheel)
-
-			if !reflect.DeepEqual(heapRes, wheelRes) {
-				t.Errorf("RunResult diverged\nheap:  %+v\nwheel: %+v", heapRes, wheelRes)
-			}
-			for i := range heapRes.Trials {
-				if heapRes.Trials[i] != wheelRes.Trials[i] {
-					t.Errorf("trial %d diverged\nheap:  %+v\nwheel: %+v",
-						i, heapRes.Trials[i], wheelRes.Trials[i])
-				}
-			}
-			if !bytes.Equal(heapJSON, wheelJSON) {
-				t.Errorf("emitted JSON diverged\nheap:  %s\nwheel: %s", heapJSON, wheelJSON)
-			}
-			// Guard against a degenerate world where equivalence is vacuous.
-			if heapRes.Trials[0].Transmissions == 0 {
-				t.Error("golden run put no frames on the air; scale too small to prove anything")
-			}
-		})
-	}
+	t.Parallel()
+	backendGate(t, "heap", Backends{ShardOptions: sim.ShardOptions{Queue: sim.QueueHeap}})
 }
 
 // TestBaselineTrialsDeterministic reruns the same trial of every Fig.-7

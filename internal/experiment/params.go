@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"dapes/internal/fault"
+	"dapes/internal/phy"
+	"dapes/internal/sim"
 )
 
 // Scale selects the workload size. The paper's full scale (10 x 1 MB files,
@@ -60,14 +62,12 @@ type Scale struct {
 	// AreaSide overrides the Fig.-7 simulation area edge in meters; 0 keeps
 	// the paper's 300 m square.
 	AreaSide float64
-	// Shards selects space-partitioned parallel execution for the DAPES
-	// trial path: the world is cut into vertical stripes (geo.ShardOf),
-	// each running its own sim.Kernel in lockstep lookahead windows. 0
-	// defers to the scenario (most stay sequential; urban-metro defaults to
-	// 4); 1 runs the sharded path with a single shard, which is
-	// byte-identical to the sequential kernel (the golden sharded gate).
-	// Values above 1 relax the global-trace contract as documented in
-	// docs/PERFORMANCE.md.
+	// Shards is the number of density-balanced vertical stripes a DAPES
+	// trial's world is cut into (geo.BalancedStripes), each running its
+	// own sim.Kernel and phy.Medium in lookahead windows. 0 defers to the
+	// scenario: one stripe, which is the sequential simulation, everywhere
+	// except urban-metro, which defaults to 4. Values above 1 relax the
+	// global-trace contract as documented in docs/PERFORMANCE.md.
 	Shards int
 	// Faults is the declarative fault plan (crashes/restarts, bursty loss,
 	// jammer windows) compiled per trial by internal/fault. nil — and any
@@ -75,6 +75,25 @@ type Scale struct {
 	// exact no-fault code path (the fault-determinism contract in
 	// docs/CONTRACTS.md).
 	Faults *fault.Plan
+	// Backends selects the reference implementations the equivalence gates
+	// compare production against; the zero value is production. No
+	// setting changes any result.
+	Backends Backends
+}
+
+// Backends selects the implementations a trial's kernel and medium run on.
+// The zero value is the production configuration: the spatial-grid medium
+// index, timer-wheel kernels, and parallel, batched sharded windows. Every
+// registered scenario builds its kernel and medium from these through one
+// helper (newWorld), so a gate that selects a reference here covers every
+// scenario.
+type Backends struct {
+	// Index is the medium's receiver lookup (phy.IndexNaive is the
+	// reference scan).
+	Index phy.IndexMode
+	// ShardOptions carries the kernel's queue (sim.QueueHeap is the
+	// reference heap), serial window execution, and lockstep windowing.
+	sim.ShardOptions
 }
 
 // ReducedScale is the default: 10 files x 20 packets (200 KB collection),

@@ -66,12 +66,12 @@ type scenarioWorld struct {
 	cfg    core.Config
 }
 
-func newScenarioWorld(seed int64) *scenarioWorld {
-	k := sim.NewKernel(seed)
+func newScenarioWorld(s Scale, seed int64) *scenarioWorld {
+	// Outdoor campus: ~50 m WiFi range per the paper's MacBooks.
+	w := newWorld(s, seed, phy.Config{Range: 50, LossRate: 0.05}, 1, 0)
 	return &scenarioWorld{
-		kernel: k,
-		// Outdoor campus: ~50 m WiFi range per the paper's MacBooks.
-		medium: phy.NewMedium(k, phy.Config{Range: 50, LossRate: 0.05}),
+		kernel: w.sk.Shard(0),
+		medium: w.sm.Medium(0),
 		cfg: core.Config{
 			// Real-world runs used local-neighborhood RPF and interleaved
 			// advertisement fetching (Section VI-B2).
@@ -89,7 +89,7 @@ func newScenarioWorld(seed int64) *scenarioWorld {
 // C only through data carrier D, who shuttles between three disconnected
 // 150 m-apart network segments.
 func Scenario1Carrier(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(seed)
+	w := newScenarioWorld(s, seed)
 	res, err := smallCollection("/fig8a", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
@@ -129,7 +129,7 @@ func Scenario1Carrier(s Scale, seed int64) (ScenarioResult, error) {
 // Scenario2Repo reproduces Fig. 8b: producer C uploads to a stationary
 // repository; peers A and B later retrieve the collection from the repo.
 func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(seed)
+	w := newScenarioWorld(s, seed)
 	res, err := smallCollection("/fig8b", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
@@ -173,7 +173,7 @@ func Scenario2Repo(s Scale, seed int64) (ScenarioResult, error) {
 // infrastructure-free area with moments of total disconnection and moments
 // of full connectivity; multi-hop chains form transiently.
 func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
-	w := newScenarioWorld(seed)
+	w := newScenarioWorld(s, seed)
 	res, err := smallCollection("/fig8c", s.TotalPackets(), s.PacketSize)
 	if err != nil {
 		return ScenarioResult{}, err
@@ -218,14 +218,7 @@ func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
 // runScenario drives a Fig.-8 world to completion and assembles the Table-I
 // row.
 func runScenario(w *scenarioWorld, name string, coll ndn.Name, horizon time.Duration, allPeers, downloaders []*core.Peer) ScenarioResult {
-	w.kernel.RunUntil(horizon, func() bool {
-		for _, p := range downloaders {
-			if done, _ := p.Done(coll); !done {
-				return false
-			}
-		}
-		return true
-	})
+	w.kernel.RunUntil(horizon, func() bool { return allDownloaded(coll, downloaders) })
 
 	completed := true
 	var latest time.Duration

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dapes/internal/core"
+	"dapes/internal/fault"
 	"dapes/internal/geo"
 	"dapes/internal/ndn"
 	"dapes/internal/phy"
@@ -16,10 +17,11 @@ import (
 // mobility with churn, dense urban node counts). Each trial builds its own
 // kernel from TrialSeed, so the Runner may execute them concurrently.
 
-// trialWorld is the common preamble of the custom scenarios: a seeded
-// kernel, a medium at the requested range, the paper-default peer config,
-// and the image-file collection. The scenario places its own producer.
+// trialWorld is the common preamble of the custom scenarios: a one-stripe
+// world at the requested range, the paper-default peer config, and the
+// image-file collection. The scenario places its own producer.
 type trialWorld struct {
+	world
 	kernel *sim.Kernel
 	medium *phy.Medium
 	cfg    core.Config
@@ -28,61 +30,21 @@ type trialWorld struct {
 
 func newTrialWorld(s Scale, wifiRange float64, trial int, producerMobility geo.Mobility) (*trialWorld, *core.Peer, error) {
 	seed := TrialSeed(s.BaseSeed, trial)
-	k := sim.NewKernel(seed)
 	w := &trialWorld{
-		kernel: k,
-		medium: phy.NewMedium(k, phy.Config{Range: wifiRange, LossRate: s.LossRate}),
-		cfg:    PaperDefaults().coreConfig(),
+		world: newWorld(s, seed, phy.Config{Range: wifiRange, LossRate: s.LossRate}, 1, 0),
+		cfg:   PaperDefaults().coreConfig(),
 	}
+	w.kernel, w.medium = w.sk.Shard(0), w.sm.Medium(0)
 	res, err := buildCollection(s, seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	w.coll = res.Manifest.Collection
-	producer := core.NewPeer(k, w.medium, producerMobility, nil, nil, w.cfg)
+	producer := core.NewPeer(w.kernel, w.medium, producerMobility, nil, nil, w.cfg)
 	if err := producer.Publish(res); err != nil {
 		return nil, nil, err
 	}
 	return w, producer, nil
-}
-
-// runWorldAndCollect drives the kernel until every downloader completes (or
-// the horizon passes) and folds the world into a TrialResult.
-func runWorldAndCollect(k *sim.Kernel, medium *phy.Medium, coll ndn.Name, downloaders []*core.Peer, horizon time.Duration) TrialResult {
-	k.RunUntil(horizon, func() bool {
-		for _, p := range downloaders {
-			if done, _ := p.Done(coll); !done {
-				return false
-			}
-		}
-		return true
-	})
-
-	var total time.Duration
-	completed, memory := 0, 0
-	var fwd, answered uint64
-	for _, p := range downloaders {
-		done, at := p.Done(coll)
-		if done {
-			completed++
-		}
-		total += censor(done, at, horizon)
-		memory += p.MemoryFootprint()
-		fwd += p.Stats().InterestsForwarded
-		answered += p.Stats().ForwardedAnswered
-	}
-	acc := 0.0
-	if fwd > 0 {
-		acc = float64(answered) / float64(fwd)
-	}
-	return TrialResult{
-		AvgDownloadTime: total / time.Duration(len(downloaders)),
-		Transmissions:   medium.Stats().Transmissions,
-		Completed:       completed,
-		Downloaders:     len(downloaders),
-		ForwardAccuracy: acc,
-		MemoryBytes:     memory,
-	}
 }
 
 // clusterSize derives the per-cluster peer count from the scale's node mix.
@@ -143,7 +105,7 @@ func partitionedMergeTrial(s Scale, wifiRange float64, trial int) (TrialResult, 
 		p.Subscribe(w.coll)
 		p.Start()
 	}
-	return runWorldAndCollect(w.kernel, w.medium, w.coll, downloaders, s.Horizon), nil
+	return w.runDAPES(w.coll, dapesPeers{downloaders: downloaders}, fault.Schedule{}, s.Horizon, 0), nil
 }
 
 // convoyChurnTrial runs a producer-led convoy down a 1.5 km road with peer
@@ -223,7 +185,7 @@ func convoyChurnTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 		p.Subscribe(w.coll)
 		p.Start()
 	}
-	return runWorldAndCollect(w.kernel, w.medium, w.coll, downloaders, s.Horizon), nil
+	return w.runDAPES(w.coll, dapesPeers{downloaders: downloaders}, fault.Schedule{}, s.Horizon, 0), nil
 }
 
 // urbanGridTrial reruns the Fig.-7 DAPES workload at metropolitan density:
@@ -254,4 +216,36 @@ func urbanGridXLTrial(s Scale, wifiRange float64, trial int) (TrialResult, error
 		dense.AreaSide = areaSide * 3
 	}
 	return RunDAPESTrial(dense, wifiRange, trial, PaperDefaults())
+}
+
+// urbanMetroShards is urban-metro's stripe count when the scale picks none.
+const urbanMetroShards = 4
+
+// urbanMetroLookahead is the scenario's relaxed window: ten conservative
+// lookaheads. Cross-stripe deliveries slip by at most one window (~260 µs
+// of virtual time against a multi-minute horizon) in exchange for an order
+// of magnitude fewer barriers.
+func urbanMetroLookahead(cfg phy.Config) time.Duration {
+	return 10 * cfg.ConservativeLookahead()
+}
+
+// urbanMetroTrial is urban-grid-xl's node mix on the partitioned kernel
+// with a density-preserving area: the 25x mix in an area scaled so nodes
+// per square meter match the paper's Fig.-7 world, which at plan scale
+// (plans/urban-metro.toml) reaches 50k+ nodes. Scale.Shards picks the
+// stripe count (default 4) and windows use the relaxed lookahead.
+func urbanMetroTrial(s Scale, wifiRange float64, trial int) (TrialResult, error) {
+	metro := s
+	metro.MobileDown = s.MobileDown * 25
+	metro.PureForwarders = s.PureForwarders * 25
+	metro.Intermediates = s.Intermediates * 25
+	if metro.AreaSide <= 0 {
+		total := float64(1 + metro.Stationary + metro.MobileDown + metro.PureForwarders + metro.Intermediates)
+		metro.AreaSide = areaSide * math.Sqrt(total/45)
+	}
+	if metro.Shards == 0 {
+		metro.Shards = urbanMetroShards
+	}
+	la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: metro.LossRate})
+	return runDAPESTrial(metro, wifiRange, trial, PaperDefaults(), la)
 }

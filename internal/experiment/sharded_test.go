@@ -1,104 +1,13 @@
 package experiment
 
 import (
-	"bytes"
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
 	"dapes/internal/phy"
 	"dapes/internal/sim"
 )
-
-// TestGoldenTraceShardedMatchesSequential is the parallel kernel's
-// acceptance gate: for every registered scenario, one run forced onto the
-// sequential reference kernel (SetDefaultShards(-1)) and one routed through
-// the space-partitioned kernel at a single shard (SetDefaultShards(1)) must
-// produce identical per-trial metrics and byte-identical emitted JSON. A
-// one-shard partition exercises the independent sharded code path —
-// ShardedKernel window loop, ShardedMedium attach/identity plumbing — while
-// the contract says it must be byte-equivalent to the sequential schedule;
-// any divergence means partitioning changed simulation behavior where it
-// promised not to. Scenarios that don't route through the DAPES trial
-// runner (baselines, Fig.-8 worlds) are unaffected by the knob and pass
-// trivially; the DAPES family (including urban-metro, whose default of 4
-// shards both flips override) carries the gate.
-//
-// Like the spatial-index and event-queue gates, the knob is atomic and both
-// settings are equivalent by construction, so concurrent tests in this
-// package cannot observe the flip.
-func TestGoldenTraceShardedMatchesSequential(t *testing.T) {
-	s := goldenScale()
-	prev := SetDefaultShards(-1)
-	defer SetDefaultShards(prev)
-
-	run := func(t *testing.T, sc *Scenario, shards int) (RunResult, []byte) {
-		t.Helper()
-		SetDefaultShards(shards)
-		res, err := Runner{Workers: 1}.Run(sc, s, 60)
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		var buf bytes.Buffer
-		if err := EmitRun(&buf, FormatJSON, res); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		return res, buf.Bytes()
-	}
-
-	for _, sc := range Scenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			seqRes, seqJSON := run(t, sc, -1)
-			shardRes, shardJSON := run(t, sc, 1)
-
-			if !reflect.DeepEqual(seqRes, shardRes) {
-				t.Errorf("RunResult diverged\nsequential: %+v\nsharded:    %+v", seqRes, shardRes)
-			}
-			for i := range seqRes.Trials {
-				if seqRes.Trials[i] != shardRes.Trials[i] {
-					t.Errorf("trial %d diverged\nsequential: %+v\nsharded:    %+v",
-						i, seqRes.Trials[i], shardRes.Trials[i])
-				}
-			}
-			if !bytes.Equal(seqJSON, shardJSON) {
-				t.Errorf("emitted JSON diverged\nsequential: %s\nsharded:    %s", seqJSON, shardJSON)
-			}
-			// Guard against a degenerate world where equivalence is vacuous.
-			if seqRes.Trials[0].Transmissions == 0 {
-				t.Error("golden run put no frames on the air; scale too small to prove anything")
-			}
-		})
-	}
-}
-
-// TestRunShardedDAPESTrialSingleShardMatchesSequential pins the one-shard
-// bridge directly, without the registry in between, on a denser mix than
-// goldenScale so the equivalence covers contention, PEBA, and forwarding.
-func TestRunShardedDAPESTrialSingleShardMatchesSequential(t *testing.T) {
-	t.Parallel()
-	s := goldenScale()
-	s.MobileDown = 6
-	s.PureForwarders = 3
-	s.Intermediates = 3
-
-	seq, err := runSequentialDAPESTrial(s, 60, 0, PaperDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := RunShardedDAPESTrial(s, 60, 0, PaperDefaults(), 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != sharded {
-		t.Fatalf("one-shard trial diverged from sequential:\nsequential: %+v\nsharded:    %+v", seq, sharded)
-	}
-	if seq.Transmissions == 0 {
-		t.Fatal("trial put no frames on the air; equivalence is vacuous")
-	}
-}
 
 // metroScale is the urban-metro workload the determinism tests drive: small
 // enough to run several times per test, dense enough that stripes genuinely
@@ -120,17 +29,16 @@ func TestShardedTrialSerialMatchesParallel(t *testing.T) {
 	s := metroScale()
 	for _, shards := range []int{2, 4} {
 		s.Shards = shards
-		run := func(parallel bool) TrialResult {
-			prev := sim.SetDefaultShardParallel(parallel)
-			defer sim.SetDefaultShardParallel(prev)
+		run := func(serial bool) TrialResult {
+			s.Backends.Serial = serial
 			tr, err := urbanMetroTrial(s, 60, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tr
 		}
-		serial := run(false)
-		par := run(true)
+		serial := run(true)
+		par := run(false)
 		if serial != par {
 			t.Fatalf("%d shards: serial and parallel window execution diverged:\nserial:   %+v\nparallel: %+v",
 				shards, serial, par)
@@ -183,8 +91,8 @@ func TestTrialSeedWraps(t *testing.T) {
 }
 
 // BenchmarkShardedKernel measures the partitioned kernel's payoff: one
-// urban-grid-xl density trial on the sequential reference versus the
-// sharded kernel at 2 and 4 stripes (relaxed urban-metro lookahead,
+// urban-grid-xl density trial on one stripe (the sequential simulation)
+// versus 2 and 4 stripes (relaxed urban-metro lookahead,
 // parallel windows). BENCH_7.json's shard-scaling section records the
 // measured numbers; the hardware-independent gate is allocs/op (+50%
 // relative slack), because wall-clock depends on the host's core count —
@@ -203,39 +111,27 @@ func BenchmarkShardedKernel(b *testing.B) {
 	dense.AreaSide = areaSide * 3
 	const wifiRange = 60.0
 	opts := PaperDefaults()
+	la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: dense.LossRate})
 
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := runSequentialDAPESTrial(dense, wifiRange, 0, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, shards := range []int{2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: dense.LossRate})
+	run := func(shards int, serial bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := dense
+			s.Shards = shards
+			s.Backends.Serial = serial
 			for i := 0; i < b.N; i++ {
-				if _, err := RunShardedDAPESTrial(dense, wifiRange, 0, opts, shards, la); err != nil {
+				if _, err := runDAPESTrial(s, wifiRange, 0, opts, la); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
+	b.Run("sequential", run(1, false))
+	b.Run("shards-2", run(2, false))
+	b.Run("shards-4", run(4, false))
 	// Serial window execution on the same 4-stripe partition: the floor the
 	// persistent-worker barrier must stay at or below for parallelism to be
-	// paying at all (the retired spawn scheduler lost to this row at xl
-	// scale; see docs/PERFORMANCE.md).
-	b.Run("shards-4-serial", func(b *testing.B) {
-		prev := sim.SetDefaultShardParallel(false)
-		defer sim.SetDefaultShardParallel(prev)
-		la := urbanMetroLookahead(phy.Config{Range: wifiRange, LossRate: dense.LossRate})
-		for i := 0; i < b.N; i++ {
-			if _, err := RunShardedDAPESTrial(dense, wifiRange, 0, opts, 4, la); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	// paying at all (see docs/PERFORMANCE.md).
+	b.Run("shards-4-serial", run(4, true))
 }
 
 // BenchmarkShardedKernelMetro is the headline metro benchmark: the
@@ -279,10 +175,10 @@ func BenchmarkShardedKernelMetro(b *testing.B) {
 func TestShardedTrialBatchingMatchesLockstep(t *testing.T) {
 	t.Parallel()
 	s := metroScale()
+	s.Shards = 4
 	run := func(mode sim.WindowingMode) TrialResult {
-		prev := sim.SetDefaultShardWindowing(mode)
-		defer sim.SetDefaultShardWindowing(prev)
-		tr, err := RunShardedDAPESTrial(s, 60, 0, PaperDefaults(), 4, 0)
+		s.Backends.Windowing = mode
+		tr, err := RunDAPESTrial(s, 60, 0, PaperDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,21 +201,14 @@ func TestNeighborsGridMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSetDefaultIndex checks the package-default knob used by the
-// golden-trace suite resolves through Config.withDefaults.
-func TestSetDefaultIndex(t *testing.T) {
-	prev := SetDefaultIndex(IndexNaive)
-	defer SetDefaultIndex(prev)
+// TestIndexZeroValueIsGrid checks that a zero Config builds the grid index
+// and that the naive reference is selected per medium through Config.Index.
+func TestIndexZeroValueIsGrid(t *testing.T) {
+	t.Parallel()
 	m := NewMedium(sim.NewKernel(1), Config{})
-	if m.Config().Index != IndexNaive {
-		t.Fatalf("Index = %d, want IndexNaive via package default", m.Config().Index)
-	}
-	SetDefaultIndex(IndexGrid)
-	m = NewMedium(sim.NewKernel(1), Config{})
 	if m.Config().Index != IndexGrid || m.grid == nil {
-		t.Fatal("grid default did not construct a grid index")
+		t.Fatal("zero Config did not construct a grid index")
 	}
-	// An explicit Config.Index wins over the package default.
 	m = NewMedium(sim.NewKernel(1), Config{Index: IndexNaive})
 	if m.grid != nil {
 		t.Fatal("explicit IndexNaive still built a grid")

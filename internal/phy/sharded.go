@@ -35,8 +35,9 @@ import (
 //
 // With one shard no cross hook is installed and the single member medium
 // is byte-identical to a standalone Medium (same IDs, same schedule, same
-// RNG draws) — that is the executable bridge the sharded golden tests gate
-// on.
+// RNG draws) — that is the executable bridge that lets the experiment
+// layer run its sequential trials as one-stripe worlds
+// (TestShardedMediumSingleShardMatchesMedium gates it).
 type ShardedMedium struct {
 	sk      *sim.ShardedKernel
 	mediums []*Medium

@@ -19,7 +19,7 @@ func TestShardedMediumSingleShardMatchesMedium(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Range: 60, LossRate: 0.2}
 	build := func() (*sim.Kernel, *Medium) {
-		sk := sim.NewShardedKernel(11, 1, cfg.ConservativeLookahead())
+		sk := sim.NewShardedKernel(11, 1, cfg.ConservativeLookahead(), sim.ShardOptions{})
 		sm := NewShardedMedium(sk, cfg)
 		return sk.Shard(0), sm.Medium(0)
 	}
@@ -73,7 +73,7 @@ func TestShardedMediumSingleShardMatchesMedium(t *testing.T) {
 func TestShardedMediumCrossBoundary(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Range: 60}
-	sk := sim.NewShardedKernel(7, 2, cfg.ConservativeLookahead())
+	sk := sim.NewShardedKernel(7, 2, cfg.ConservativeLookahead(), sim.ShardOptions{})
 	sm := NewShardedMedium(sk, cfg)
 	// Stripe split of [0, 200) at x=100: a at 80 → shard 0, b at 120 → shard 1.
 	const width = 200.0
@@ -134,14 +134,11 @@ func TestShardedMediumCrossBoundary(t *testing.T) {
 // returns the per-shard delivery traces; the body of the serial==parallel
 // equivalence gate at the phy layer (and, under -race, the proof that
 // member mediums really share nothing within a window).
-func shardedMediumChurn(t *testing.T, shards int, parallel bool) [][]string {
+func shardedMediumChurn(t *testing.T, shards int, serial bool) [][]string {
 	t.Helper()
-	prev := sim.SetDefaultShardParallel(parallel)
-	defer sim.SetDefaultShardParallel(prev)
-
 	cfg := Config{Range: 60, LossRate: 0.1}
 	const width = 400.0
-	sk := sim.NewShardedKernel(23, shards, cfg.ConservativeLookahead())
+	sk := sim.NewShardedKernel(23, shards, cfg.ConservativeLookahead(), sim.ShardOptions{Serial: serial})
 	defer sk.Close()
 	sm := NewShardedMedium(sk, cfg)
 	traces := make([][]string, shards)
@@ -189,8 +186,8 @@ func shardedMediumChurn(t *testing.T, shards int, parallel bool) [][]string {
 func TestShardedMediumSerialMatchesParallel(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{2, 4} {
-		serial := shardedMediumChurn(t, shards, false)
-		par := shardedMediumChurn(t, shards, true)
+		serial := shardedMediumChurn(t, shards, true)
+		par := shardedMediumChurn(t, shards, false)
 		total := 0
 		for s := 0; s < shards; s++ {
 			if len(serial[s]) != len(par[s]) {
@@ -222,12 +219,9 @@ func TestShardedMediumSerialMatchesParallel(t *testing.T) {
 // must collapse barriers.
 func cullWorkload(t *testing.T, mode sim.WindowingMode, noCull, clustered bool) ([][]string, uint64, uint64) {
 	t.Helper()
-	prev := sim.SetDefaultShardWindowing(mode)
-	defer sim.SetDefaultShardWindowing(prev)
-
 	cfg := Config{Range: 60, LossRate: 0.1}
 	const width, shards = 3000.0, 4
-	sk := sim.NewShardedKernel(41, shards, cfg.ConservativeLookahead())
+	sk := sim.NewShardedKernel(41, shards, cfg.ConservativeLookahead(), sim.ShardOptions{Windowing: mode})
 	defer sk.Close()
 	sm := NewShardedMedium(sk, cfg)
 	sm.noCull = noCull

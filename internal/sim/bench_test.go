@@ -64,29 +64,25 @@ func BenchmarkKernelFire(b *testing.B) {
 // shards each run one self-rescheduling tick per lookahead window, so an op
 // is one window whose body is four trivial events and whose cost is almost
 // entirely synchronization. `serial` runs the busy shards on the
-// coordinator (the floor: no synchronization at all), `spawn` is the
-// retired goroutine-per-window + WaitGroup scheduler, and `workers` is the
-// persistent-worker epoch barrier that replaced it.
+// coordinator (the floor: no synchronization at all) and `workers` is the
+// persistent-worker epoch barrier.
 func BenchmarkShardBarrier(b *testing.B) {
 	const shards = 4
 	const tick = time.Microsecond
 	modes := []struct {
-		name  string
-		setup func(sk *ShardedKernel)
+		name   string
+		serial bool
 	}{
-		{"serial", func(sk *ShardedKernel) { sk.parallel = false }},
-		{"spawn", func(sk *ShardedKernel) { sk.spawnWindows = true }},
-		// adaptive off: the product scheduler would run these near-empty
-		// windows inline, which is exactly what this bench exists to price.
-		{"workers", func(sk *ShardedKernel) { sk.adaptive = false }},
+		{"serial", true},
+		{"workers", false},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
-			prev := SetDefaultShardParallel(true)
-			defer SetDefaultShardParallel(prev)
-			sk := NewShardedKernel(1, shards, tick)
+			sk := NewShardedKernel(1, shards, tick, ShardOptions{Serial: mode.serial})
 			defer sk.Close()
-			mode.setup(sk)
+			// adaptive off: the product scheduler would run these near-empty
+			// windows inline, which is exactly what this bench exists to price.
+			sk.adaptive = false
 			for i := 0; i < shards; i++ {
 				k := sk.Shard(i)
 				var step func()

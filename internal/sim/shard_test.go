@@ -113,7 +113,7 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sk := NewShardedKernel(77, 1, 25*time.Microsecond)
+	sk := NewShardedKernel(77, 1, 25*time.Microsecond, ShardOptions{})
 	gotTrace := load(sk.Shard(0))
 	if err := sk.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -141,18 +141,14 @@ func TestShardedSingleShardMatchesKernel(t *testing.T) {
 // body of the serial==parallel equivalence test and the CI -race churn step
 // (cross-shard state is only ever touched through SendFrom staging, so the
 // race detector proves windows really share nothing).
-func shardedChurn(t *testing.T, shards int, parallel, spawn bool) [][]int64 {
+func shardedChurn(t *testing.T, shards int, serial bool) [][]int64 {
 	t.Helper()
-	prev := SetDefaultShardParallel(parallel)
-	defer SetDefaultShardParallel(prev)
-
 	const lookahead = 50 * time.Microsecond
-	sk := NewShardedKernel(9001, shards, lookahead)
+	sk := NewShardedKernel(9001, shards, lookahead, ShardOptions{Serial: serial})
 	defer sk.Close()
-	sk.spawnWindows = spawn
-	// Force every parallel window through the selected barrier mechanism:
-	// the adaptive scheduler would run this light workload inline, leaving
-	// the spawn-vs-workers comparison vacuous.
+	// Force every parallel window through the worker barrier: the adaptive
+	// scheduler would run this light workload inline, leaving the
+	// serial-vs-parallel comparison vacuous.
 	sk.adaptive = false
 	traces := make([][]int64, shards)
 
@@ -203,8 +199,8 @@ func shardedChurn(t *testing.T, shards int, parallel, spawn bool) [][]int64 {
 func TestShardedSerialMatchesParallel(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{2, 3, 4, 7} {
-		serial := shardedChurn(t, shards, false, false)
-		par := shardedChurn(t, shards, true, false)
+		serial := shardedChurn(t, shards, true)
+		par := shardedChurn(t, shards, false)
 		total := 0
 		for s := 0; s < shards; s++ {
 			if len(serial[s]) != len(par[s]) {
@@ -232,7 +228,7 @@ func TestShardedSerialMatchesParallel(t *testing.T) {
 func TestShardedHandoffTiming(t *testing.T) {
 	t.Parallel()
 	const lookahead = 100 * time.Microsecond
-	sk := NewShardedKernel(1, 2, lookahead)
+	sk := NewShardedKernel(1, 2, lookahead, ShardOptions{})
 	var conservativeAt, relaxedAt time.Duration
 
 	sk.Shard(0).ScheduleFunc(10*time.Microsecond, func() {
@@ -266,7 +262,7 @@ func TestShardedStopAndHorizon(t *testing.T) {
 	t.Parallel()
 
 	// Clean completion advances every shard to the horizon.
-	sk := NewShardedKernel(3, 3, 20*time.Microsecond)
+	sk := NewShardedKernel(3, 3, 20*time.Microsecond, ShardOptions{})
 	sk.Shard(1).ScheduleFunc(time.Microsecond, func() {})
 	if err := sk.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -278,7 +274,7 @@ func TestShardedStopAndHorizon(t *testing.T) {
 	}
 
 	// Stop on any shard aborts the run without warping clocks.
-	sk = NewShardedKernel(3, 2, 20*time.Microsecond)
+	sk = NewShardedKernel(3, 2, 20*time.Microsecond, ShardOptions{})
 	sk.Shard(1).ScheduleFunc(5*time.Microsecond, func() { sk.Shard(1).Stop() })
 	if err := sk.Run(time.Second); err != ErrStopped {
 		t.Fatalf("run = %v, want ErrStopped", err)
@@ -288,7 +284,7 @@ func TestShardedStopAndHorizon(t *testing.T) {
 	}
 
 	// RunUntil observes a cross-shard condition at a barrier.
-	sk = NewShardedKernel(3, 2, 20*time.Microsecond)
+	sk = NewShardedKernel(3, 2, 20*time.Microsecond, ShardOptions{})
 	done := false
 	sk.Shard(0).ScheduleFunc(3*time.Microsecond, func() { done = true })
 	sk.Shard(1).ScheduleFunc(time.Hour, func() {})
@@ -300,7 +296,7 @@ func TestShardedStopAndHorizon(t *testing.T) {
 	}
 
 	// Events at exactly the horizon run (Run's contract is inclusive).
-	sk = NewShardedKernel(3, 2, 20*time.Microsecond)
+	sk = NewShardedKernel(3, 2, 20*time.Microsecond, ShardOptions{})
 	atHorizon := false
 	sk.Shard(0).ScheduleFunc(time.Second, func() { atHorizon = true })
 	if err := sk.Run(time.Second); err != nil {

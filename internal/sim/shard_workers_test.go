@@ -16,7 +16,7 @@ func TestShardedCloseLifecycle(t *testing.T) {
 	const shards = 4
 	before := runtime.NumGoroutine()
 
-	sk := NewShardedKernel(7, shards, 20*time.Microsecond)
+	sk := NewShardedKernel(7, shards, 20*time.Microsecond, ShardOptions{})
 	// The adaptive scheduler would run this near-empty workload inline and
 	// never spawn a worker; the lifecycle under test needs the workers up.
 	sk.adaptive = false
@@ -56,38 +56,9 @@ func TestShardedCloseLifecycle(t *testing.T) {
 	}
 
 	// A kernel that never ran (and never spawned workers) closes cleanly too.
-	idle := NewShardedKernel(7, shards, time.Microsecond)
+	idle := NewShardedKernel(7, shards, time.Microsecond, ShardOptions{})
 	idle.Close()
 	idle.Close()
-}
-
-// TestShardedSpawnMatchesWorkers keeps the retired goroutine-per-window
-// scheduler an honest baseline: the churn workload must produce
-// byte-identical traces under the spawn barrier and the persistent-worker
-// barrier (BenchmarkShardBarrier measures the two against each other).
-func TestShardedSpawnMatchesWorkers(t *testing.T) {
-	t.Parallel()
-	for _, shards := range []int{2, 4} {
-		spawn := shardedChurn(t, shards, true, true)
-		workers := shardedChurn(t, shards, true, false)
-		total := 0
-		for s := 0; s < shards; s++ {
-			if len(spawn[s]) != len(workers[s]) {
-				t.Fatalf("%d shards: shard %d trace lengths diverged: spawn %d, workers %d",
-					shards, s, len(spawn[s]), len(workers[s]))
-			}
-			for i := range spawn[s] {
-				if spawn[s][i] != workers[s][i] {
-					t.Fatalf("%d shards: shard %d diverged at %d: spawn %x, workers %x",
-						shards, s, i, spawn[s][i], workers[s][i])
-				}
-			}
-			total += len(spawn[s])
-		}
-		if total == 0 {
-			t.Fatalf("%d shards: churn fired no events; property is vacuous", shards)
-		}
-	}
 }
 
 // batchingWorkload runs a dense-local / sparse-boundary workload under the
@@ -99,12 +70,9 @@ func TestShardedSpawnMatchesWorkers(t *testing.T) {
 // the contract SetWindowOracle documents.
 func batchingWorkload(t *testing.T, mode WindowingMode, shards int) ([][]int64, uint64) {
 	t.Helper()
-	prev := SetDefaultShardWindowing(mode)
-	defer SetDefaultShardWindowing(prev)
-
 	const lookahead = 10 * time.Microsecond
 	const horizon = 600 * time.Microsecond
-	sk := NewShardedKernel(31, shards, lookahead)
+	sk := NewShardedKernel(31, shards, lookahead, ShardOptions{Windowing: mode})
 	defer sk.Close()
 
 	traces := make([][]int64, shards)
@@ -192,7 +160,7 @@ func TestWindowBatchingMatchesLockstep(t *testing.T) {
 // the stopped clock. (PR 7 fixed this only for the S==1 delegation path.)
 func TestShardedStoppedClockMultiShard(t *testing.T) {
 	t.Parallel()
-	sk := NewShardedKernel(5, 3, 50*time.Microsecond)
+	sk := NewShardedKernel(5, 3, 50*time.Microsecond, ShardOptions{})
 	defer sk.Close()
 	sk.Shard(0).ScheduleFunc(30*time.Microsecond, func() { sk.Shard(0).Stop() })
 	sk.Shard(1).ScheduleFunc(10*time.Microsecond, func() {})

@@ -6,8 +6,8 @@
 // experiments reproducible and testable.
 //
 // The queue is a hierarchical timer wheel by default (O(1) schedule and
-// cancel; see wheel.go), with the reference binary heap selectable via
-// SetDefaultQueue / NewKernelWithQueue. Both orderings are total — events
+// cancel; see wheel.go), with the reference binary heap selectable per
+// kernel via NewKernelWithQueue. Both orderings are total — events
 // fire strictly by (time, sequence) — so the two backends produce
 // byte-identical traces; the golden-trace suite in internal/experiment
 // enforces that for every registered scenario.
@@ -16,7 +16,6 @@ package sim
 import (
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -115,33 +114,14 @@ type eventQueue interface {
 type QueueKind int32
 
 const (
-	// QueueDefault resolves to the package default (see SetDefaultQueue).
-	QueueDefault QueueKind = iota
 	// QueueWheel is the hierarchical timer wheel: O(1) schedule and cancel,
-	// amortized O(1) pop. The default.
-	QueueWheel
+	// amortized O(1) pop. The zero value and the default.
+	QueueWheel QueueKind = iota
 	// QueueHeap is the reference binary heap the wheel must reproduce
 	// byte-for-byte, kept for the golden-trace equivalence suite and the
 	// old-vs-new BenchmarkKernelChurn comparison.
 	QueueHeap
 )
-
-// defaultQueue is the kind used when NewKernel (or QueueDefault) is asked
-// for a queue. Atomic so the golden-trace suite can flip it while parallel
-// trial workers construct kernels; because both kinds are byte-identical, a
-// concurrent flip changes no result.
-var defaultQueue atomic.Int32
-
-func init() { defaultQueue.Store(int32(QueueWheel)) }
-
-// SetDefaultQueue sets the queue kind used by kernels constructed with
-// NewKernel (or NewKernelWithQueue(QueueDefault)) and returns the previous
-// default. Both kinds produce byte-identical simulations (enforced by the
-// golden-trace suite); the knob exists so equivalence tests and benchmarks
-// can select the reference heap.
-func SetDefaultQueue(kind QueueKind) QueueKind {
-	return QueueKind(defaultQueue.Swap(int32(kind)))
-}
 
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
 // construct with NewKernel.
@@ -159,16 +139,13 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel whose random stream is seeded with seed, using
-// the package-default queue (the timer wheel).
+// the timer-wheel queue.
 func NewKernel(seed int64) *Kernel {
-	return NewKernelWithQueue(seed, QueueDefault)
+	return NewKernelWithQueue(seed, QueueWheel)
 }
 
 // NewKernelWithQueue is NewKernel with an explicit queue backend.
 func NewKernelWithQueue(seed int64, kind QueueKind) *Kernel {
-	if kind == QueueDefault {
-		kind = QueueKind(defaultQueue.Load())
-	}
 	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
 	if kind == QueueHeap {
 		k.queue = &heapQueue{}
