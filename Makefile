@@ -124,14 +124,18 @@ plan-report:
 # reruns, serial==parallel and batched==lockstep sharded trials, the
 # layer-level S=1 bridges (one-stripe sharded kernel and medium vs the
 # plain ones), the kernel's randomized-churn equivalence properties,
-# trace-neutrality of the boundary-mask cull, and the forwarder's
-# zero-alloc lookup contract. TestGateListsNameRealTests fails if a name
-# below no longer exists.
+# trace-neutrality of the boundary-mask cull, the forwarder's zero-alloc
+# lookup contract, the completion counter held to a scan of Peer.Done
+# under cold restarts (S=1 and S=2) with its zero-alloc predicate, and the
+# RPF running rarity counts held to a from-scratch recount and to the
+# map-scan selection. TestGateListsNameRealTests fails if a name below no
+# longer exists.
 golden:
-	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep' -count=1 ./internal/experiment/
+	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep|TestCompletionCounterMatchesScan|TestCompletionPredicateDoesNotAllocate' -count=1 ./internal/experiment/
 	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral' -count=1 ./internal/phy/
 	$(GO) test -run 'TestWheelMatchesHeapUnderChurn|TestCancelReclaimsQueueSpace|TestTimerResetDoesNotAllocate|TestShardedSingleShardMatchesKernel|TestShardedSerialMatchesParallel|TestWindowBatchingMatchesLockstep|TestShardedCloseLifecycle' -count=1 ./internal/sim/
 	$(GO) test -run 'TestLookupPathsDoNotAllocate' -count=1 ./internal/nfd/
+	$(GO) test -run 'TestRunningRarityMatchesRecount|TestNextRequestDoesNotAllocate|TestRarityRunningCountsProperty' -count=1 ./internal/rpf/ ./internal/bitmap/
 
 # The example binaries, built and executed end to end: each must exit 0
 # within its deadline (examples/smoke_test.go).

@@ -202,7 +202,10 @@ func Decode(buf []byte) (*Bitmap, error) {
 }
 
 // Rarity accumulates how many of a set of peer bitmaps are missing each
-// packet; higher counts mean rarer packets (Section IV-E).
+// packet; higher counts mean rarer packets (Section IV-E). The counts are
+// running: Observe adds a bitmap and Forget takes back one observed
+// earlier, so a holder of a changing bitmap set keeps them current without
+// recounting.
 type Rarity struct {
 	n      int
 	missby []int // missby[i] = number of observed bitmaps with bit i clear
@@ -216,19 +219,35 @@ func NewRarity(n int) *Rarity {
 
 // Observe folds one peer bitmap into the rarity counts.
 func (r *Rarity) Observe(b *Bitmap) error {
+	return r.add(b, 1)
+}
+
+// Forget removes a bitmap folded in by an earlier Observe. The bitmap must
+// hold the bits it was observed with.
+func (r *Rarity) Forget(b *Bitmap) error {
+	return r.add(b, -1)
+}
+
+// add adds delta to the count of every packet b is missing.
+func (r *Rarity) add(b *Bitmap, delta int) error {
 	if b.Len() != r.n {
 		return ErrSizeMismatch
 	}
-	for i := 0; i < r.n; i++ {
-		if !b.Test(i) {
-			r.missby[i]++
+	for wi, w := range b.words {
+		missing := ^w
+		if rem := r.n - wi*64; rem < 64 {
+			missing &= 1<<uint(rem) - 1
+		}
+		for missing != 0 {
+			r.missby[wi*64+bits.TrailingZeros64(missing)] += delta
+			missing &= missing - 1
 		}
 	}
-	r.seen++
+	r.seen += delta
 	return nil
 }
 
-// Seen returns the number of observed bitmaps.
+// Seen returns the number of observed (and not forgotten) bitmaps.
 func (r *Rarity) Seen() int { return r.seen }
 
 // Of returns the rarity of packet i: the count of observed bitmaps missing

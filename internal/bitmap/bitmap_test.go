@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -233,5 +234,65 @@ func TestRarity(t *testing.T) {
 	}
 	if err := r.Observe(New(5)); err != ErrSizeMismatch {
 		t.Fatalf("size mismatch not detected: %v", err)
+	}
+	if err := r.Forget(New(5)); err != ErrSizeMismatch {
+		t.Fatalf("Forget size mismatch not detected: %v", err)
+	}
+	// Forgetting takes an observation back exactly.
+	if err := r.Forget(mk(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []int{0, 0, 1, 2} {
+		if r.Of(i) != w {
+			t.Fatalf("after Forget: Of(%d) = %d, want %d", i, r.Of(i), w)
+		}
+	}
+	if r.Seen() != 2 {
+		t.Fatalf("after Forget: Seen = %d", r.Seen())
+	}
+}
+
+func TestRarityRunningCountsProperty(t *testing.T) {
+	t.Parallel()
+	// Sizes straddle word boundaries so the last word's unused bits are
+	// exercised.
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		r := NewRarity(n)
+		var held []*Bitmap
+		for step := 0; step < 200; step++ {
+			if len(held) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(held))
+				if err := r.Forget(held[i]); err != nil {
+					t.Fatal(err)
+				}
+				held = append(held[:i], held[i+1:]...)
+			} else {
+				b := New(n)
+				for i := 0; i < n; i++ {
+					if rng.Intn(2) == 0 {
+						b.Set(i)
+					}
+				}
+				if err := r.Observe(b); err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, b)
+			}
+			if r.Seen() != len(held) {
+				t.Fatalf("n=%d step %d: Seen = %d, want %d", n, step, r.Seen(), len(held))
+			}
+			for i := 0; i < n; i++ {
+				want := 0
+				for _, b := range held {
+					if !b.Test(i) {
+						want++
+					}
+				}
+				if r.Of(i) != want {
+					t.Fatalf("n=%d step %d: Of(%d) = %d, recount %d", n, step, i, r.Of(i), want)
+				}
+			}
+		}
 	}
 }

@@ -68,7 +68,7 @@ func (p *Peer) handleBitmapInterest(in *ndn.Interest) {
 		return
 	}
 	p.neighborHeard(payload.Owner)
-	cs, ok := p.collections[payload.Collection.String()]
+	cs, ok := p.collections[string(p.nameKey(payload.Collection))]
 	if !ok || cs.manifest == nil {
 		// We can still use the overheard bitmap for forwarding decisions
 		// about collections we do not hold (Section V-B).
@@ -94,7 +94,7 @@ func (p *Peer) handleBitmapData(d *ndn.Data) {
 		return
 	}
 	p.neighborHeard(payload.Owner)
-	cs, ok := p.collections[payload.Collection.String()]
+	cs, ok := p.collections[string(p.nameKey(payload.Collection))]
 	if !ok || cs.manifest == nil {
 		p.recordOverheardBitmap(payload)
 		return
@@ -124,11 +124,10 @@ func (p *Peer) recordOverheardBitmap(payload bitmapPayload) {
 	if !p.cfg.Multihop || payload.Bitmap == nil {
 		return
 	}
-	key := payload.Collection.String()
-	cs, ok := p.collections[key]
+	cs, ok := p.collections[string(p.nameKey(payload.Collection))]
 	if !ok {
 		cs = newCollectionState(payload.Collection)
-		p.collections[key] = cs
+		p.collections[cs.key] = cs
 	}
 	cs.avail[payload.Owner] = payload.Bitmap.Clone()
 }

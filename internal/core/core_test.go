@@ -427,3 +427,83 @@ func TestUnknownCollectionQueries(t *testing.T) {
 		t.Fatal("unknown collection has packet")
 	}
 }
+
+// TestNameKeysRespectComponentBoundaries: names whose URI forms coincide
+// (Name{"c", "f/0"} and /c/f/0 both print "/c/f/0") are different names,
+// and no name-keyed table may confuse them. A wire-decoded Data carrying
+// the look-alike name must not cancel the pending reply for the real one,
+// and a query for a look-alike collection must not report the real one.
+func TestNameKeysRespectComponentBoundaries(t *testing.T) {
+	t.Parallel()
+	net := newTestNet(5, 100)
+	p := net.peer(geo.Point{}, Config{})
+	p.Start()
+
+	real := &ndn.Data{Name: ndn.ParseName("/c/f/0"), Content: []byte("x")}
+	real.SignDigest()
+	var sent uint64
+	p.scheduleReply(real, &sent)
+	lookAlike := &ndn.Data{Name: ndn.Name{"c", "f/0"}, Content: []byte("y")}
+	lookAlike.SignDigest()
+	decoded, err := ndn.DecodeData(lookAlike.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.handleData(99, decoded)
+	if len(p.pendingReplies) != 1 {
+		t.Fatal("Data named {c, f/0} cancelled the pending reply for /c/f/0")
+	}
+	p.handleData(99, real)
+	if len(p.pendingReplies) != 0 {
+		t.Fatal("Data named /c/f/0 did not cancel its own pending reply")
+	}
+
+	files := []metadata.File{{Name: "f", Content: bytes.Repeat([]byte{1}, 200)}}
+	res, err := metadata.BuildCollection(ndn.Name{"c", "f"}, files, 100, metadata.FormatPacketDigest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Publish(res); err != nil {
+		t.Fatal(err)
+	}
+	if done, _ := p.Done(ndn.Name{"c", "f"}); !done {
+		t.Fatal("published collection {c, f} not done")
+	}
+	if done, _ := p.Done(ndn.Name{"c/f"}); done {
+		t.Fatal("collection {c/f} reported done: it aliases the published {c, f}")
+	}
+	if have, total := p.Progress(ndn.Name{"c/f"}); have != 0 || total != 0 {
+		t.Fatalf("Progress({c/f}) = %d/%d, want 0/0", have, total)
+	}
+	if p.HasPacket(ndn.Name{"c/f"}, 0) {
+		t.Fatal("HasPacket({c/f}) true: it aliases the published {c, f}")
+	}
+}
+
+// TestPeerAccessorsDoNotAllocate pins the collection accessors a trial's
+// harness calls at 0 allocations, for known and unknown collections.
+func TestPeerAccessorsDoNotAllocate(t *testing.T) {
+	net := newTestNet(6, 100)
+	res := testCollection(t, 2, 10, metadata.FormatPacketDigest)
+	p := net.peer(geo.Point{}, Config{})
+	if err := p.Publish(res); err != nil {
+		t.Fatal(err)
+	}
+	for _, coll := range []ndn.Name{res.Manifest.Collection, ndn.ParseName("/unknown/collection")} {
+		known := coll.Equal(res.Manifest.Collection)
+		var done, has bool
+		var have int
+		for name, fn := range map[string]func(){
+			"Done":      func() { done, _ = p.Done(coll) },
+			"Progress":  func() { have, _ = p.Progress(coll) },
+			"HasPacket": func() { has = p.HasPacket(coll, 3) },
+		} {
+			if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+				t.Errorf("%s(%s): %v allocs, want 0", name, coll, allocs)
+			}
+		}
+		if done != known || has != known || (have > 0) != known {
+			t.Fatalf("%s: Done=%v HasPacket=%v have=%d; want known=%v", coll, done, has, have, known)
+		}
+	}
+}

@@ -243,8 +243,8 @@ func (p *Peer) handleContentInterest(from int, in *ndn.Interest) {
 // timer, suppressing the reply if another node answers first. Stored packets
 // keep their wire form, so repeat replies reuse one encoding (encode-once).
 func (p *Peer) scheduleReply(d *ndn.Data, counter *uint64) {
-	key := d.Name.String()
-	if _, pending := p.pendingReplies[key]; pending {
+	key := p.nameKey(d.Name)
+	if _, pending := p.pendingReplies[string(key)]; pending {
 		return
 	}
 	var rt *replyTimer
@@ -256,8 +256,8 @@ func (p *Peer) scheduleReply(d *ndn.Data, counter *uint64) {
 		rt = &replyTimer{p: p}
 		rt.t = p.k.NewTimer(rt.fire)
 	}
-	rt.key, rt.d, rt.counter = key, d, counter
-	p.pendingReplies[key] = rt
+	rt.key, rt.d, rt.counter = string(key), d, counter
+	p.pendingReplies[rt.key] = rt
 	rt.t.Reset(p.k.Jitter(p.cfg.TransmissionWindow))
 }
 

@@ -12,8 +12,7 @@ import (
 
 // considerForwarding decides the fate of an Interest this peer cannot serve.
 func (p *Peer) considerForwarding(from int, in *ndn.Interest) {
-	key := in.Name.String()
-	if until, ok := p.suppressed[key]; ok && p.k.Now() < until {
+	if until, ok := p.suppressed[string(p.nameKey(in.Name))]; ok && p.k.Now() < until {
 		p.stats.InterestsSuppressed++
 		return
 	}
@@ -44,7 +43,7 @@ func (p *Peer) speculateAvailability(from int, name ndn.Name) (forward, informed
 				if id == from {
 					continue
 				}
-				if _, ok := n.offers[cs.key()]; ok {
+				if _, ok := n.offers[cs.key]; ok {
 					return true, true
 				}
 			}
@@ -90,10 +89,11 @@ func (p *Peer) speculateAvailability(from int, name ndn.Name) (forward, informed
 // the suppression timer: if no Data answers within SuppressTTL, future
 // Interests for the same name are suppressed until the timer expires.
 func (p *Peer) forwardInterest(in *ndn.Interest) {
-	key := in.Name.String()
-	if rec, ok := p.forwarded[key]; ok && !rec.answered && p.k.Now()-rec.at < p.cfg.SuppressTTL {
+	k := p.nameKey(in.Name)
+	if rec, ok := p.forwarded[string(k)]; ok && !rec.answered && p.k.Now()-rec.at < p.cfg.SuppressTTL {
 		return // already forwarded, still awaiting data
 	}
+	key := string(k)
 	rec := &forwardRecord{at: p.k.Now()}
 	p.forwarded[key] = rec
 	// Encode-once: a received Interest relays its original frame bytes.
@@ -118,14 +118,14 @@ func (p *Peer) maybeForwardData(d *ndn.Data) {
 	if !p.cfg.Multihop {
 		return
 	}
-	key := d.Name.String()
-	rec, ok := p.forwarded[key]
+	key := p.nameKey(d.Name)
+	rec, ok := p.forwarded[string(key)]
 	if !ok || rec.answered {
 		return
 	}
 	rec.answered = true
 	p.stats.ForwardedAnswered++
-	delete(p.suppressed, key)
+	delete(p.suppressed, string(key))
 	// Encode-once: relay the Data frame exactly as it was received.
 	wire := d.Encode()
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {

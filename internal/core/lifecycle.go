@@ -31,7 +31,8 @@ func (p *Peer) Crash() {
 
 // Restart cold-boots a crashed peer: neighbor, PIT, and dedup tables are
 // wiped, downloads in progress (and completed downloads — the content
-// store is volatile) are forgotten, and discovery starts over. Two things
+// store is volatile, and each one forgotten fires the SetOnForget
+// callback) are forgotten, and discovery starts over. Two things
 // survive, modeling durable storage and application intent: locally
 // published collections keep their packets (their advertisement state
 // still restarts cold), and subscription prefixes stay registered, so the
@@ -56,6 +57,9 @@ func (p *Peer) Restart() {
 			continue
 		}
 		delete(p.collections, key)
+		if cs.done && p.onForget != nil {
+			p.onForget(cs.collection)
+		}
 	}
 	p.radio.SetEnabled(true)
 	p.Start()

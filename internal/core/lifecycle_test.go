@@ -78,6 +78,13 @@ func TestCrashRestartRecompletes(t *testing.T) {
 	}
 	downloader := net.peer(geo.Point{X: 30, Y: 0}, Config{})
 	downloader.Subscribe(ndn.ParseName("/coll-123"))
+	// The complete and forget callbacks must pair up with Done's
+	// transitions: that is what a completion counter relies on.
+	completed, forgotten := 0, 0
+	for _, p := range []*Peer{producer, downloader} {
+		p.SetOnComplete(func(ndn.Name, time.Duration) { completed++ })
+		p.SetOnForget(func(ndn.Name) { forgotten++ })
+	}
 	producer.Start()
 	downloader.Start()
 
@@ -87,6 +94,9 @@ func TestCrashRestartRecompletes(t *testing.T) {
 	}); !ok {
 		t.Fatal("first download incomplete")
 	}
+	if completed != 1 || forgotten != 0 {
+		t.Fatalf("after the download: %d completions, %d forgets; want 1, 0", completed, forgotten)
+	}
 
 	downloader.Crash()
 	crashedAt := net.k.Now()
@@ -94,6 +104,9 @@ func TestCrashRestartRecompletes(t *testing.T) {
 	downloader.Restart()
 	if done, _ := downloader.Done(coll); done {
 		t.Fatal("cold restart kept completed state: tables must be volatile")
+	}
+	if forgotten != 1 {
+		t.Fatalf("restart forgot a completed download but fired %d forgets, want 1", forgotten)
 	}
 
 	if ok := net.k.RunUntil(crashedAt+10*time.Minute, func() bool {
@@ -115,6 +128,9 @@ func TestCrashRestartRecompletes(t *testing.T) {
 		if !producer.HasPacket(coll, i) {
 			t.Fatalf("producer lost published packet %d across restart", i)
 		}
+	}
+	if completed != 2 || forgotten != 1 {
+		t.Fatalf("after re-completion and a producer restart: %d completions, %d forgets; want 2, 1", completed, forgotten)
 	}
 }
 

@@ -36,9 +36,12 @@ type Peer struct {
 	cfg    Config
 	stats  Stats
 
+	// Name-keyed maps are keyed by ndn.Name.AppendKey, which keeps names
+	// that share a URI form apart; lookups encode into keyBuf (nameKey).
 	collections map[string]*collectionState
 	wanted      []ndn.Name
 	neighbors   map[int]*neighbor
+	keyBuf      []byte
 
 	beaconPeriod   time.Duration
 	beaconT        *sim.Timer
@@ -61,6 +64,7 @@ type Peer struct {
 
 	running    bool
 	onComplete func(collection ndn.Name, at time.Duration)
+	onForget   func(collection ndn.Name)
 }
 
 // NewPeer attaches a peer to the medium with the given mobility. key may be
@@ -102,6 +106,21 @@ func (p *Peer) Config() Config { return p.cfg }
 // finishes downloading.
 func (p *Peer) SetOnComplete(fn func(collection ndn.Name, at time.Duration)) {
 	p.onComplete = fn
+}
+
+// SetOnForget installs a callback invoked when Restart forgets a completed
+// download: the inverse of the onComplete event, so a holder of both can
+// track which peers currently hold a collection.
+func (p *Peer) SetOnForget(fn func(collection ndn.Name)) {
+	p.onForget = fn
+}
+
+// nameKey encodes name into the peer's scratch buffer. Indexing a map
+// with m[string(p.nameKey(name))] does not allocate; the bytes are valid
+// until the next call.
+func (p *Peer) nameKey(name ndn.Name) []byte {
+	p.keyBuf = name.AppendKey(p.keyBuf[:0])
+	return p.keyBuf
 }
 
 // Start begins discovery beaconing and housekeeping.
@@ -175,7 +194,7 @@ func (p *Peer) Publish(res *metadata.BuildResult) error {
 		cs.own.Set(i)
 	}
 	cs.done = true
-	p.collections[cs.key()] = cs
+	p.collections[cs.key] = cs
 	return nil
 }
 
@@ -190,7 +209,7 @@ func (p *Peer) signer() ndn.Signer {
 // Progress reports verified packets over total for a collection (0, 0 when
 // the collection or its metadata is unknown).
 func (p *Peer) Progress(collection ndn.Name) (have, total int) {
-	cs, ok := p.collections[collection.String()]
+	cs, ok := p.collections[string(p.nameKey(collection))]
 	if !ok {
 		return 0, 0
 	}
@@ -199,7 +218,7 @@ func (p *Peer) Progress(collection ndn.Name) (have, total int) {
 
 // Done reports whether a subscribed collection has fully downloaded, and when.
 func (p *Peer) Done(collection ndn.Name) (bool, time.Duration) {
-	cs, ok := p.collections[collection.String()]
+	cs, ok := p.collections[string(p.nameKey(collection))]
 	if !ok {
 		return false, 0
 	}
@@ -209,7 +228,7 @@ func (p *Peer) Done(collection ndn.Name) (bool, time.Duration) {
 // HasPacket reports whether the peer holds the packet at a collection's
 // global index.
 func (p *Peer) HasPacket(collection ndn.Name, idx int) bool {
-	cs, ok := p.collections[collection.String()]
+	cs, ok := p.collections[string(p.nameKey(collection))]
 	return ok && cs.own != nil && cs.own.Test(idx)
 }
 
@@ -391,7 +410,7 @@ func (p *Peer) handleData(from int, d *ndn.Data) {
 
 	// Response suppression: someone answered; cancel our pending reply and
 	// recycle its timer record.
-	if rt, ok := p.pendingReplies[d.Name.String()]; ok {
+	if rt, ok := p.pendingReplies[string(p.nameKey(d.Name))]; ok {
 		p.releaseReply(rt)
 	}
 
@@ -465,17 +484,21 @@ func (p *Peer) handleDiscoveryReply(responder int, d *ndn.Data) {
 			continue
 		}
 		collection := metaName.Prefix(metaName.Len() - 2)
-		n.offers[collection.String()] = metaName
+		// Only the offer's presence is ever read, so a repeat offer keeps
+		// the first entry and its key.
+		if _, known := n.offers[string(p.nameKey(collection))]; !known {
+			n.offers[string(p.nameKey(collection))] = metaName
+		}
 
 		if !p.wants(collection) {
 			continue
 		}
-		cs, ok := p.collections[collection.String()]
+		cs, ok := p.collections[string(p.nameKey(collection))]
 		if !ok {
 			cs = newCollectionState(collection)
 			cs.subscribed = true
 			cs.startedAt = p.k.Now()
-			p.collections[cs.key()] = cs
+			p.collections[cs.key] = cs
 		}
 		cs.subscribed = true
 		if cs.metaName == nil {

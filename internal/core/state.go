@@ -15,7 +15,8 @@ import (
 type neighbor struct {
 	id        int
 	lastHeard time.Duration
-	// offers maps collection URI -> metadata name, learned from discovery.
+	// offers maps collection key (ndn.Name.AppendKey) -> metadata name,
+	// learned from discovery.
 	offers map[string]ndn.Name
 }
 
@@ -37,6 +38,7 @@ type advertSession struct {
 // collectionState is everything a peer knows about one collection.
 type collectionState struct {
 	collection ndn.Name
+	key        string   // collection.AppendKey: this state's map key
 	metaName   ndn.Name // learned from discovery (or Publish)
 
 	// Metadata fetch progress. metaT is the segment-retry timer, created
@@ -80,6 +82,7 @@ type collectionState struct {
 func newCollectionState(collection ndn.Name) *collectionState {
 	return &collectionState{
 		collection: collection.Clone(),
+		key:        string(collection.AppendKey(nil)),
 		metaSegs:   make(map[int]*ndn.Data),
 		metaTotal:  -1,
 		packets:    make(map[int]*ndn.Data),
@@ -88,9 +91,6 @@ func newCollectionState(collection ndn.Name) *collectionState {
 		inflight:   make(map[int]*inflightTimer),
 	}
 }
-
-// key returns the map key for this collection.
-func (cs *collectionState) key() string { return cs.collection.String() }
 
 // availabilityUnion returns the union of all live advertised bitmaps.
 func (cs *collectionState) availabilityUnion(n int) *bitmap.Bitmap {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"sync/atomic"
 	"time"
 
 	"dapes/internal/core"
@@ -146,15 +147,56 @@ type dapesPeers struct {
 	pures                      []*multihop.PureForwarder
 }
 
-// allDownloaded reports whether every downloader holds the collection: the
-// stop condition of every DAPES trial.
-func allDownloaded(collection ndn.Name, downloaders []*core.Peer) bool {
+// completions counts the downloaders currently holding a trial's
+// collection, so the stop condition of every DAPES trial reads one integer
+// per event instead of scanning every peer. Each downloader's complete and
+// forget callbacks (core.Peer.SetOnComplete, SetOnForget) keep the count;
+// they fire on the goroutine of the peer's home shard, hence the atomic.
+type completions struct {
+	held atomic.Int64
+	want int64
+
+	// collection and downloaders are kept for completionProbe only.
+	collection  ndn.Name
+	downloaders []*core.Peer
+}
+
+// completionProbe, when non-nil, is called at every evaluation of a
+// completions predicate with the counter's value. Only tests set it, to
+// hold the counter against a scan of core.Peer.Done.
+var completionProbe func(held int64, collection ndn.Name, downloaders []*core.Peer)
+
+// watchCompletions installs the counting callbacks on every downloader —
+// replacing any callbacks installed before — and seeds the count with the
+// downloaders already holding the collection. It is the one place a
+// trial's completion condition is built.
+func watchCompletions(collection ndn.Name, downloaders []*core.Peer) *completions {
+	c := &completions{want: int64(len(downloaders)), collection: collection, downloaders: downloaders}
 	for _, p := range downloaders {
-		if done, _ := p.Done(collection); !done {
-			return false
+		if done, _ := p.Done(collection); done {
+			c.held.Add(1)
 		}
+		p.SetOnComplete(func(coll ndn.Name, _ time.Duration) {
+			if coll.Equal(collection) {
+				c.held.Add(1)
+			}
+		})
+		p.SetOnForget(func(coll ndn.Name) {
+			if coll.Equal(collection) {
+				c.held.Add(-1)
+			}
+		})
 	}
-	return true
+	return c
+}
+
+// all reports whether every downloader holds the collection.
+func (c *completions) all() bool {
+	held := c.held.Load()
+	if completionProbe != nil {
+		completionProbe(held, c.collection, c.downloaders)
+	}
+	return held == c.want
 }
 
 // runDAPES drives the world until every downloader holds the collection or
@@ -162,8 +204,9 @@ func allDownloaded(collection ndn.Name, downloaders []*core.Peer) bool {
 // stops before faultsUntil: a still-pending crash can undo a completion
 // the condition just observed.
 func (w world) runDAPES(collection ndn.Name, ps dapesPeers, sched fault.Schedule, horizon, faultsUntil time.Duration) TrialResult {
+	c := watchCompletions(collection, ps.downloaders)
 	w.sk.RunUntil(horizon, func() bool {
-		return w.sk.Now() >= faultsUntil && allDownloaded(collection, ps.downloaders)
+		return c.all() && w.sk.Now() >= faultsUntil
 	})
 	result := collectDAPES(w.sm.Stats().Transmissions, collection, ps, horizon)
 	chaosStats(&result, sched, ps.downloaders, collection)

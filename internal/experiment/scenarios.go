@@ -218,7 +218,7 @@ func Scenario3Mobile(s Scale, seed int64) (ScenarioResult, error) {
 // runScenario drives a Fig.-8 world to completion and assembles the Table-I
 // row.
 func runScenario(w *scenarioWorld, name string, coll ndn.Name, horizon time.Duration, allPeers, downloaders []*core.Peer) ScenarioResult {
-	w.kernel.RunUntil(horizon, func() bool { return allDownloaded(coll, downloaders) })
+	w.kernel.RunUntil(horizon, watchCompletions(coll, downloaders).all)
 
 	completed := true
 	var latest time.Duration

@@ -210,3 +210,33 @@ func TestDapesIntermediateForwardsForSameCollection(t *testing.T) {
 		t.Fatal("intermediate forwarded but nothing answered")
 	}
 }
+
+// TestForwarderKeysRespectComponentBoundaries: a Data named {c, f/0} shares
+// its URI form with /c/f/0 but is a different name, so it must not satisfy
+// the forwarded Interest for /c/f/0; the real Data must.
+func TestForwarderKeysRespectComponentBoundaries(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(27)
+	medium := phy.NewMedium(k, phy.Config{Range: 50})
+	fwd := NewPureForwarder(k, medium, geo.Stationary{At: geo.Point{X: 0}}, Config{ForwardProb: 1.0})
+	fwd.Start()
+	r := medium.Attach(geo.Stationary{At: geo.Point{X: 10}})
+
+	in := &ndn.Interest{Name: ndn.ParseName("/c/f/0"), Nonce: 5}
+	k.ScheduleAt(time.Second, func() { medium.Broadcast(r, in.Encode()) })
+	lookAlike := &ndn.Data{Name: ndn.Name{"c", "f/0"}, Content: []byte("y")}
+	lookAlike.SignDigest()
+	k.ScheduleAt(1100*time.Millisecond, func() { medium.Broadcast(r, lookAlike.Encode()) })
+	k.Run(1500 * time.Millisecond)
+	if st := fwd.Stats(); st.InterestsForwarded != 1 || st.ForwardedAnswered != 0 || st.DataForwarded != 0 {
+		t.Fatalf("after the look-alike Data: %+v; want 1 forwarded, 0 answered, 0 relayed", st)
+	}
+
+	real := &ndn.Data{Name: ndn.ParseName("/c/f/0"), Content: []byte("x")}
+	real.SignDigest()
+	k.ScheduleAt(1600*time.Millisecond, func() { medium.Broadcast(r, real.Encode()) })
+	k.Run(2 * time.Second)
+	if st := fwd.Stats(); st.ForwardedAnswered != 1 || st.DataForwarded != 1 {
+		t.Fatalf("after the real Data: %+v; want 1 answered, 1 relayed", st)
+	}
+}

@@ -69,10 +69,13 @@ type PureForwarder struct {
 	cs     *nfd.ContentStore
 	stats  Stats
 
+	// Name-keyed maps are keyed by ndn.Name.AppendKey, which keeps names
+	// that share a URI form apart; lookups encode into keyBuf (nameKey).
 	nonceSeen      map[uint32]time.Duration
 	forwarded      map[string]*forwardRecord
 	suppressed     map[string]time.Duration
 	pendingReplies map[string]*replyTimer
+	keyBuf         []byte
 	replyPool      []*replyTimer
 	running        bool
 	sweepT         *sim.Timer
@@ -111,10 +114,19 @@ func (f *PureForwarder) releaseReply(rt *replyTimer) {
 
 type forwardRecord struct {
 	name        ndn.Name
+	key         string // name.AppendKey: the record's forwarded and suppressed key
 	canBePrefix bool
 	at          time.Duration
 	answered    bool
-	relayed     map[string]bool // data names already relayed (prefix interests)
+	relayed     map[string]bool // keys of data names already relayed (prefix interests)
+}
+
+// nameKey encodes name into the forwarder's scratch buffer. Indexing a map
+// with m[string(f.nameKey(name))] does not allocate; the bytes are valid
+// until the next call.
+func (f *PureForwarder) nameKey(name ndn.Name) []byte {
+	f.keyBuf = name.AppendKey(f.keyBuf[:0])
+	return f.keyBuf
 }
 
 // NewPureForwarder attaches a pure forwarder to the medium.
@@ -216,12 +228,12 @@ func (f *PureForwarder) onInterest(in *ndn.Interest) {
 		return
 	}
 
-	key := in.Name.String()
-	if until, ok := f.suppressed[key]; ok && f.k.Now() < until {
+	key := f.nameKey(in.Name)
+	if until, ok := f.suppressed[string(key)]; ok && f.k.Now() < until {
 		f.stats.InterestsSuppressed++
 		return
 	}
-	if rec, ok := f.forwarded[key]; ok && !rec.answered && f.k.Now()-rec.at < f.cfg.SuppressTTL {
+	if rec, ok := f.forwarded[string(key)]; ok && !rec.answered && f.k.Now()-rec.at < f.cfg.SuppressTTL {
 		return // already in flight
 	}
 	if f.k.RNG().Float64() >= f.cfg.ForwardProb {
@@ -230,11 +242,12 @@ func (f *PureForwarder) onInterest(in *ndn.Interest) {
 	}
 	rec := &forwardRecord{
 		name:        in.Name.Clone(),
+		key:         string(key),
 		canBePrefix: in.CanBePrefix,
 		at:          f.k.Now(),
 		relayed:     make(map[string]bool, 1),
 	}
-	f.forwarded[key] = rec
+	f.forwarded[rec.key] = rec
 	// Encode-once: a received Interest relays its original frame bytes.
 	wire := in.Encode()
 	f.k.ScheduleFunc(f.k.Jitter(f.cfg.TransmissionWindow), func() {
@@ -246,7 +259,7 @@ func (f *PureForwarder) onInterest(in *ndn.Interest) {
 	})
 	f.k.ScheduleFunc(f.cfg.SuppressTTL, func() {
 		if !rec.answered {
-			f.suppressed[key] = f.k.Now() + f.cfg.SuppressTTL
+			f.suppressed[rec.key] = f.k.Now() + f.cfg.SuppressTTL
 		}
 	})
 }
@@ -256,8 +269,8 @@ func (f *PureForwarder) onInterest(in *ndn.Interest) {
 // original wire (encode-once), so the reply re-emits the cached frame
 // without a re-encode.
 func (f *PureForwarder) scheduleReply(d *ndn.Data) {
-	key := d.Name.String()
-	if _, pending := f.pendingReplies[key]; pending {
+	key := f.nameKey(d.Name)
+	if _, pending := f.pendingReplies[string(key)]; pending {
 		return
 	}
 	var rt *replyTimer
@@ -269,30 +282,33 @@ func (f *PureForwarder) scheduleReply(d *ndn.Data) {
 		rt = &replyTimer{f: f}
 		rt.t = f.k.NewTimer(rt.fire)
 	}
-	rt.key, rt.d = key, d
-	f.pendingReplies[key] = rt
+	rt.key, rt.d = string(key), d
+	f.pendingReplies[rt.key] = rt
 	rt.t.Reset(f.k.Jitter(f.cfg.TransmissionWindow))
 }
 
 func (f *PureForwarder) onData(d *ndn.Data) {
-	key := d.Name.String()
 	// Response suppression: someone else answered.
-	if rt, ok := f.pendingReplies[key]; ok {
+	if rt, ok := f.pendingReplies[string(f.nameKey(d.Name))]; ok {
 		f.releaseReply(rt)
 	}
 	// Cache every overheard transmission (Section V-A).
 	f.cs.Insert(d)
 
 	rec := f.matchForwarded(d.Name)
-	if rec == nil || rec.relayed[key] {
+	if rec == nil {
 		return
 	}
-	rec.relayed[key] = true
+	key := f.nameKey(d.Name)
+	if rec.relayed[string(key)] {
+		return
+	}
+	rec.relayed[string(key)] = true
 	if !rec.answered {
 		rec.answered = true
 		f.stats.ForwardedAnswered++
 	}
-	delete(f.suppressed, rec.name.String())
+	delete(f.suppressed, rec.key)
 	// Encode-once: relay the Data frame exactly as it was received.
 	wire := d.Encode()
 	f.k.ScheduleFunc(f.k.Jitter(f.cfg.TransmissionWindow), func() {
@@ -308,7 +324,7 @@ func (f *PureForwarder) onData(d *ndn.Data) {
 // exact name, or prefix match for CanBePrefix Interests (e.g. discovery and
 // bitmap signaling whose replies extend the request name).
 func (f *PureForwarder) matchForwarded(name ndn.Name) *forwardRecord {
-	if rec, ok := f.forwarded[name.String()]; ok {
+	if rec, ok := f.forwarded[string(f.nameKey(name))]; ok {
 		return rec
 	}
 	for _, rec := range f.forwarded {

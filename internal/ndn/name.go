@@ -21,6 +21,7 @@
 package ndn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -54,17 +55,39 @@ func ParseName(uri string) Name {
 	return n
 }
 
-// String returns the URI form of the name.
+// String returns the URI form of the name. The URI form is for display and
+// the wire payloads that carry it: it does not respect component
+// boundaries (Name{"a/b"} and Name{"a", "b"} both print "/a/b"), so a map
+// keyed by names uses AppendKey instead.
 func (n Name) String() string {
 	if len(n) == 0 {
 		return "/"
 	}
+	size := len(n)
+	for _, c := range n {
+		size += len(c)
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for _, c := range n {
 		b.WriteByte('/')
 		b.WriteString(string(c))
 	}
 	return b.String()
+}
+
+// AppendKey appends the name's map key to dst and returns the extended
+// slice. The key is injective over names: each component is written as
+// its uvarint length followed by its bytes, so distinct names — including
+// ones whose URI forms coincide — never share a key. A lookup indexes the
+// map with m[string(n.AppendKey(buf[:0]))], which does not allocate when
+// buf has the capacity; only an insert copies the key into a string.
+func (n Name) AppendKey(dst []byte) []byte {
+	for _, c := range n {
+		dst = binary.AppendUvarint(dst, uint64(len(c)))
+		dst = append(dst, c...)
+	}
+	return dst
 }
 
 // Append returns a new name with the given components appended. The receiver

@@ -88,6 +88,63 @@ func TestNamePrefixOfEqualCompare(t *testing.T) {
 	}
 }
 
+func TestNameKeyInjective(t *testing.T) {
+	t.Parallel()
+	key := func(n Name) string { return string(n.AppendKey(nil)) }
+	// URI forms that coincide across component boundaries keep distinct keys.
+	aliased := []Name{{"a/b"}, {"a", "b"}, {"a", "", "b"}, {"/a", "b"}, {"a/", "b"}, {}, {""}}
+	for i, a := range aliased {
+		for j, b := range aliased {
+			if (key(a) == key(b)) != (i == j) {
+				t.Fatalf("key(%q) == key(%q) is %v", []Component(a), []Component(b), i != j)
+			}
+		}
+	}
+	// Property: keys are equal exactly when the names are.
+	f := func(a, b []string) bool {
+		na, nb := make(Name, len(a)), make(Name, len(b))
+		for i, c := range a {
+			na[i] = Component(c)
+		}
+		for i, c := range b {
+			nb[i] = Component(c)
+		}
+		return (key(na) == key(nb)) == na.Equal(nb) && key(na) == key(na.Clone())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// AppendKey appends: an existing prefix of dst survives.
+	if got := string(ParseName("/x").AppendKey([]byte("pre"))); got != "pre\x01x" {
+		t.Fatalf("AppendKey onto a prefix = %q", got)
+	}
+}
+
+func TestNameKeyLookupDoesNotAllocate(t *testing.T) {
+	n := ParseName("/damaged-bridge-1533783192/bridge-picture/0")
+	m := map[string]int{string(n.AppendKey(nil)): 1}
+	buf := make([]byte, 0, 64)
+	var got int
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = n.AppendKey(buf[:0])
+		got = m[string(buf)]
+	})
+	if allocs != 0 || got != 1 {
+		t.Fatalf("keyed lookup: %v allocs, value %d; want 0 allocs, value 1", allocs, got)
+	}
+}
+
+func TestNameStringAllocatesOnce(t *testing.T) {
+	n := ParseName("/damaged-bridge-1533783192/bridge-picture/0")
+	var s string
+	if allocs := testing.AllocsPerRun(100, func() { s = n.String() }); allocs != 1 {
+		t.Fatalf("Name.String: %v allocs, want exactly 1", allocs)
+	}
+	if s != "/damaged-bridge-1533783192/bridge-picture/0" {
+		t.Fatalf("String = %q", s)
+	}
+}
+
 func TestVarNumRoundTrip(t *testing.T) {
 	t.Parallel()
 	vals := []uint64{0, 1, 252, 253, 254, 65535, 65536, 1 << 31, 1 << 40}

@@ -64,8 +64,9 @@ func (tb tieBreaker) rank(i int) int {
 }
 
 // selectRarest scans for the eligible packet with the highest rarity,
-// breaking ties with tb.
-func selectRarest(n int, rarity func(int) int, own, available *bitmap.Bitmap, skip func(int) bool, tb tieBreaker) int {
+// breaking ties with tb. Rarity is read from the strategy's running counts,
+// so a candidate costs O(1) however many bitmaps they summarize.
+func selectRarest(rarity *bitmap.Rarity, n int, own, available *bitmap.Bitmap, skip func(int) bool, tb tieBreaker) int {
 	best := -1
 	bestRarity := -1
 	bestRank := 0
@@ -76,7 +77,7 @@ func selectRarest(n int, rarity func(int) int, own, available *bitmap.Bitmap, sk
 		if skip != nil && skip(i) {
 			continue
 		}
-		r := rarity(i)
+		r := rarity.Of(i)
 		if r > bestRarity || (r == bestRarity && tb.rank(i) < bestRank) {
 			best, bestRarity, bestRank = i, r, tb.rank(i)
 		}
@@ -90,6 +91,9 @@ type LocalNeighborhood struct {
 	n         int
 	tb        tieBreaker
 	neighbors map[int]*bitmap.Bitmap
+	// rarity holds the missing counts over exactly the bitmaps in
+	// neighbors, updated as they are stored, replaced and dropped.
+	rarity *bitmap.Rarity
 }
 
 var _ Strategy = (*LocalNeighborhood)(nil)
@@ -101,6 +105,7 @@ func NewLocalNeighborhood(n int, randomStart bool, rng *rand.Rand) *LocalNeighbo
 		n:         n,
 		tb:        newTieBreaker(n, randomStart, rng),
 		neighbors: make(map[int]*bitmap.Bitmap),
+		rarity:    bitmap.NewRarity(n),
 	}
 }
 
@@ -112,13 +117,19 @@ func (s *LocalNeighborhood) Observe(peerID int, bm *bitmap.Bitmap) {
 	if bm.Len() != s.n {
 		return
 	}
-	s.neighbors[peerID] = bm.Clone()
+	s.Disconnect(peerID)
+	c := bm.Clone()
+	_ = s.rarity.Observe(c) // lengths match: checked above
+	s.neighbors[peerID] = c
 }
 
 // Disconnect implements Strategy: per the paper, the rarity list is specific
 // to the connected set and expires on disconnect.
 func (s *LocalNeighborhood) Disconnect(peerID int) {
-	delete(s.neighbors, peerID)
+	if old, ok := s.neighbors[peerID]; ok {
+		_ = s.rarity.Forget(old) // every stored bitmap passed Observe's length check
+		delete(s.neighbors, peerID)
+	}
 }
 
 // NeighborCount returns the number of peers with live bitmaps.
@@ -126,16 +137,7 @@ func (s *LocalNeighborhood) NeighborCount() int { return len(s.neighbors) }
 
 // NextRequest implements Strategy.
 func (s *LocalNeighborhood) NextRequest(own, available *bitmap.Bitmap, skip func(int) bool) int {
-	rarity := func(i int) int {
-		missing := 0
-		for _, bm := range s.neighbors {
-			if !bm.Test(i) {
-				missing++
-			}
-		}
-		return missing
-	}
-	return selectRarest(s.n, rarity, own, available, skip, s.tb)
+	return selectRarest(s.rarity, s.n, own, available, skip, s.tb)
 }
 
 // EncounterBased is the encounter-history RPF variant: rarity counts how many
@@ -147,6 +149,9 @@ type EncounterBased struct {
 	history int
 	order   []int // peer IDs, oldest first
 	bitmaps map[int]*bitmap.Bitmap
+	// rarity holds the missing counts over exactly the bitmaps in bitmaps,
+	// updated as they are stored, refreshed and evicted.
+	rarity *bitmap.Rarity
 }
 
 var _ Strategy = (*EncounterBased)(nil)
@@ -161,6 +166,7 @@ func NewEncounterBased(n, history int, randomStart bool, rng *rand.Rand) *Encoun
 		tb:      newTieBreaker(n, randomStart, rng),
 		history: history,
 		bitmaps: make(map[int]*bitmap.Bitmap),
+		rarity:  bitmap.NewRarity(n),
 	}
 }
 
@@ -173,7 +179,8 @@ func (s *EncounterBased) Observe(peerID int, bm *bitmap.Bitmap) {
 	if bm.Len() != s.n {
 		return
 	}
-	if _, known := s.bitmaps[peerID]; known {
+	if old, known := s.bitmaps[peerID]; known {
+		_ = s.rarity.Forget(old) // every stored bitmap passed the length check
 		for i, id := range s.order {
 			if id == peerID {
 				s.order = append(s.order[:i], s.order[i+1:]...)
@@ -182,10 +189,13 @@ func (s *EncounterBased) Observe(peerID int, bm *bitmap.Bitmap) {
 		}
 	}
 	s.order = append(s.order, peerID)
-	s.bitmaps[peerID] = bm.Clone()
+	c := bm.Clone()
+	_ = s.rarity.Observe(c) // lengths match: checked above
+	s.bitmaps[peerID] = c
 	for len(s.order) > s.history {
 		oldest := s.order[0]
 		s.order = s.order[1:]
+		_ = s.rarity.Forget(s.bitmaps[oldest]) // stored, so length-checked
 		delete(s.bitmaps, oldest)
 	}
 }
@@ -198,16 +208,7 @@ func (s *EncounterBased) HistoryLen() int { return len(s.order) }
 
 // NextRequest implements Strategy.
 func (s *EncounterBased) NextRequest(own, available *bitmap.Bitmap, skip func(int) bool) int {
-	rarity := func(i int) int {
-		missing := 0
-		for _, bm := range s.bitmaps {
-			if !bm.Test(i) {
-				missing++
-			}
-		}
-		return missing
-	}
-	return selectRarest(s.n, rarity, own, available, skip, s.tb)
+	return selectRarest(s.rarity, s.n, own, available, skip, s.tb)
 }
 
 // RequestPlan returns up to limit next requests in strategy order without

@@ -225,3 +225,125 @@ func TestStrategyNames(t *testing.T) {
 		t.Fatal("encounter name")
 	}
 }
+
+// refNextRequest is the map-scan selection the running rarity counts
+// replaced: every candidate's rarity is recounted over every stored bitmap.
+// It is the reference TestRunningRarityMatchesRecount holds both strategies
+// to.
+func refNextRequest(n int, bitmaps map[int]*bitmap.Bitmap, tb tieBreaker, own, available *bitmap.Bitmap, skip func(int) bool) int {
+	best, bestRarity, bestRank := -1, -1, 0
+	for i := 0; i < n; i++ {
+		if own.Test(i) || !available.Test(i) || (skip != nil && skip(i)) {
+			continue
+		}
+		r := 0
+		for _, bm := range bitmaps {
+			if !bm.Test(i) {
+				r++
+			}
+		}
+		if r > bestRarity || (r == bestRarity && tb.rank(i) < bestRank) {
+			best, bestRarity, bestRank = i, r, tb.rank(i)
+		}
+	}
+	return best
+}
+
+func randomBitmap(rng *rand.Rand, n int, density float64) *bitmap.Bitmap {
+	b := bitmap.New(n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < density {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
+// TestRunningRarityMatchesRecount applies random Observe, re-Observe,
+// Disconnect and (through Observe) history-eviction sequences to both
+// strategies. After every step the running counts must equal a
+// from-scratch recount over the stored bitmaps, and the whole NextRequest
+// sequence must match the map-scan reference.
+func TestRunningRarityMatchesRecount(t *testing.T) {
+	t.Parallel()
+	type subject struct {
+		s      Strategy
+		stored map[int]*bitmap.Bitmap
+		rarity *bitmap.Rarity
+		tb     tieBreaker
+	}
+	for _, n := range []int{1, 64, 70} {
+		for _, randomStart := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			local := NewLocalNeighborhood(n, randomStart, rng)
+			enc := NewEncounterBased(n, 3, randomStart, rng)
+			subjects := []subject{
+				{local, local.neighbors, local.rarity, local.tb},
+				{enc, enc.bitmaps, enc.rarity, enc.tb},
+			}
+			for step := 0; step < 300; step++ {
+				peer := rng.Intn(8) // few peers: re-observes are common
+				op := rng.Intn(4)
+				bm := randomBitmap(rng, n, rng.Float64())
+				for _, sub := range subjects {
+					switch op {
+					case 0:
+						sub.s.Disconnect(peer)
+					default:
+						sub.s.Observe(peer, bm)
+					}
+				}
+				own := randomBitmap(rng, n, 0.3)
+				avail := randomBitmap(rng, n, 0.8)
+				for _, sub := range subjects {
+					if sub.rarity.Seen() != len(sub.stored) {
+						t.Fatalf("%s n=%d step %d: Seen = %d, stored %d", sub.s.Name(), n, step, sub.rarity.Seen(), len(sub.stored))
+					}
+					for i := 0; i < n; i++ {
+						want := 0
+						for _, b := range sub.stored {
+							if !b.Test(i) {
+								want++
+							}
+						}
+						if got := sub.rarity.Of(i); got != want {
+							t.Fatalf("%s n=%d step %d: rarity(%d) = %d, recount %d", sub.s.Name(), n, step, i, got, want)
+						}
+					}
+					planned := map[int]bool{}
+					skip := func(i int) bool { return planned[i] }
+					for {
+						got := sub.s.NextRequest(own, avail, skip)
+						want := refNextRequest(n, sub.stored, sub.tb, own, avail, skip)
+						if got != want {
+							t.Fatalf("%s n=%d step %d: NextRequest = %d, reference %d", sub.s.Name(), n, step, got, want)
+						}
+						if got < 0 {
+							break
+						}
+						planned[got] = true
+					}
+				}
+			}
+			if enc.HistoryLen() != 3 {
+				t.Fatalf("n=%d: history never filled (len %d); eviction unexercised", n, enc.HistoryLen())
+			}
+		}
+	}
+}
+
+func TestNextRequestDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewLocalNeighborhood(500, true, rng)
+	for id := 0; id < 10; id++ {
+		s.Observe(id, randomBitmap(rng, 500, 0.5))
+	}
+	own, avail := randomBitmap(rng, 500, 0.3), full(500)
+	var got int
+	if allocs := testing.AllocsPerRun(100, func() { got = s.NextRequest(own, avail, nil) }); allocs != 0 {
+		t.Fatalf("LocalNeighborhood.NextRequest: %v allocs, want 0", allocs)
+	}
+	if got < 0 {
+		t.Fatal("NextRequest found nothing; the pin is vacuous")
+	}
+}
