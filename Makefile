@@ -18,8 +18,11 @@ vet:
 # views stay read-only and encoded packets aren't mutated without
 # InvalidateWire (wireimmut), and no stored *sim.Event (handlehygiene).
 # Fails on any unsuppressed diagnostic; suppress only with
-# `//lint:ignore <analyzer> <reason>`.
+# `//lint:ignore <analyzer> <reason>`. It also fails when gofmt would
+# reformat any Go file.
 lint: vet
+	@unformatted="$$(gofmt -l *.go cmd examples internal perfbench)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/dapes-lint ./...
 
 # The corpus smoke: every Fuzz* target in the tree for ~10s each, so a codec
@@ -126,16 +129,20 @@ plan-report:
 # plain ones), the kernel's randomized-churn equivalence properties,
 # trace-neutrality of the boundary-mask cull, the forwarder's zero-alloc
 # lookup contract, the completion counter held to a scan of Peer.Done
-# under cold restarts (S=1 and S=2) with its zero-alloc predicate, and the
+# under cold restarts (S=1 and S=2) with its zero-alloc predicate, the
 # RPF running rarity counts held to a from-scratch recount and to the
-# map-scan selection. TestGateListsNameRealTests fails if a name below no
+# map-scan selection, and the allocation-free receive path: broadcast cost
+# independent of the receiver count, a known neighbor's bitmap Data handled
+# with 0 allocs, the word-wise bitmap codec held to a bit-by-bit reference,
+# and the name decoder's and URI-key's contracts. TestGateListsNameRealTests fails if a name below no
 # longer exists.
 golden:
 	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep|TestCompletionCounterMatchesScan|TestCompletionPredicateDoesNotAllocate' -count=1 ./internal/experiment/
-	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral' -count=1 ./internal/phy/
+	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral|TestBroadcastAllocsIndependentOfReceivers' -count=1 ./internal/phy/
 	$(GO) test -run 'TestWheelMatchesHeapUnderChurn|TestCancelReclaimsQueueSpace|TestTimerResetDoesNotAllocate|TestShardedSingleShardMatchesKernel|TestShardedSerialMatchesParallel|TestWindowBatchingMatchesLockstep|TestShardedCloseLifecycle' -count=1 ./internal/sim/
 	$(GO) test -run 'TestLookupPathsDoNotAllocate' -count=1 ./internal/nfd/
-	$(GO) test -run 'TestRunningRarityMatchesRecount|TestNextRequestDoesNotAllocate|TestRarityRunningCountsProperty' -count=1 ./internal/rpf/ ./internal/bitmap/
+	$(GO) test -run 'TestRunningRarityMatchesRecount|TestNextRequestDoesNotAllocate|TestRarityRunningCountsProperty|TestObserveCopiesIntoStoredBitmap|TestWordwiseCodecMatchesBitwiseReference|TestInPlaceCodecDoesNotAllocate' -count=1 ./internal/rpf/ ./internal/bitmap/
+	$(GO) test -run 'TestBitmapDataFromKnownNeighborDoesNotAllocate|TestDecodeNameAllocatesTwice|TestAppendURIKeyMatchesParseName' -count=1 ./internal/core/ ./internal/ndn/
 
 # The example binaries, built and executed end to end: each must exit 0
 # within its deadline (examples/smoke_test.go).

@@ -93,6 +93,30 @@ func (b *Bitmap) Clone() *Bitmap {
 	return out
 }
 
+// CopyFrom makes b a copy of src, length included, reusing b's storage
+// when it is large enough.
+func (b *Bitmap) CopyFrom(src *Bitmap) {
+	b.resize(src.n)
+	copy(b.words, src.words)
+}
+
+// ClearAll unmarks every bit.
+func (b *Bitmap) ClearAll() {
+	clear(b.words)
+}
+
+// resize sets the length to n bits, reusing the word storage when it has
+// the capacity. The words' contents are left for the caller to overwrite.
+func (b *Bitmap) resize(n int) {
+	b.n = n
+	w := (n + 63) / 64
+	if cap(b.words) >= w {
+		b.words = b.words[:w]
+	} else {
+		b.words = make([]uint64, w)
+	}
+}
+
 // Equal reports whether two bitmaps have identical length and bits.
 func (b *Bitmap) Equal(other *Bitmap) bool {
 	if b.n != other.n {
@@ -167,38 +191,58 @@ func (b *Bitmap) Ones() []int {
 // Encode serializes the bitmap: a 4-byte big-endian bit length followed by
 // the packed bit bytes (LSB-first within each byte).
 func (b *Bitmap) Encode() []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(b.n))
-	nbytes := (b.n + 7) / 8
-	for i := 0; i < nbytes; i++ {
-		var by byte
-		for bit := 0; bit < 8; bit++ {
-			idx := i*8 + bit
-			if idx < b.n && b.Test(idx) {
-				by |= 1 << uint(bit)
-			}
-		}
-		out = append(out, by)
+	return b.AppendEncode(make([]byte, 0, 4+8*len(b.words)))
+}
+
+// AppendEncode appends the Encode form of the bitmap to dst. LSB-first bytes
+// are the little-endian layout of each word, so the bits are written a
+// word at a time and the last word is cut to the bytes n needs.
+func (b *Bitmap) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(b.n))
+	end := len(dst) + (b.n+7)/8
+	for _, w := range b.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out
+	return dst[:end]
 }
 
 // Decode parses a bitmap produced by Encode.
 func Decode(buf []byte) (*Bitmap, error) {
+	b := &Bitmap{}
+	if err := b.Load(buf); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Load parses a bitmap produced by Encode into b, reusing b's storage when
+// it is large enough; bits past the decoded length are dropped. On error b
+// is unchanged.
+func (b *Bitmap) Load(buf []byte) error {
 	if len(buf) < 4 {
-		return nil, fmt.Errorf("bitmap: short header (%d bytes)", len(buf))
+		return fmt.Errorf("bitmap: short header (%d bytes)", len(buf))
 	}
 	n := int(binary.BigEndian.Uint32(buf))
 	nbytes := (n + 7) / 8
 	if len(buf) < 4+nbytes {
-		return nil, fmt.Errorf("bitmap: need %d payload bytes, have %d", nbytes, len(buf)-4)
+		return fmt.Errorf("bitmap: need %d payload bytes, have %d", nbytes, len(buf)-4)
 	}
-	b := New(n)
-	for i := 0; i < n; i++ {
-		if buf[4+i/8]&(1<<(uint(i)%8)) != 0 {
-			b.Set(i)
+	b.resize(n)
+	data := buf[4 : 4+nbytes]
+	for i := range b.words {
+		if len(data) >= 8 {
+			b.words[i] = binary.LittleEndian.Uint64(data)
+			data = data[8:]
+			continue
 		}
+		var w uint64
+		for j, c := range data {
+			w |= uint64(c) << (8 * uint(j))
+		}
+		b.words[i] = w
 	}
-	return b, nil
+	b.trim()
+	return nil
 }
 
 // Rarity accumulates how many of a set of peer bitmaps are missing each

@@ -296,3 +296,137 @@ func TestRarityRunningCountsProperty(t *testing.T) {
 		}
 	}
 }
+
+// refEncode and refDecode are the bit-at-a-time codec the word-wise
+// Encode and Load replaced, kept as their reference.
+func refEncode(b *Bitmap) []byte {
+	out := []byte{byte(b.n >> 24), byte(b.n >> 16), byte(b.n >> 8), byte(b.n)}
+	for i := 0; i < (b.n+7)/8; i++ {
+		var by byte
+		for bit := 0; bit < 8; bit++ {
+			if idx := i*8 + bit; idx < b.n && b.Test(idx) {
+				by |= 1 << uint(bit)
+			}
+		}
+		out = append(out, by)
+	}
+	return out
+}
+
+func refDecode(buf []byte) *Bitmap {
+	n := int(buf[0])<<24 | int(buf[1])<<16 | int(buf[2])<<8 | int(buf[3])
+	b := New(n)
+	for i := 0; i < n; i++ {
+		if buf[4+i/8]&(1<<(uint(i)%8)) != 0 {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
+// TestWordwiseCodecMatchesBitwiseReference holds Encode and Load to the
+// bit-at-a-time reference for every length 0–200, on random contents and
+// on payloads whose bits past n (and trailing bytes) are all set. Load
+// reuses one destination across lengths, growing and shrinking it.
+func TestWordwiseCodecMatchesBitwiseReference(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	dst := New(0)
+	for n := 0; n <= 200; n++ {
+		for trial := 0; trial < 4; trial++ {
+			b := New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					b.Set(i)
+				}
+			}
+			enc := b.Encode()
+			if want := refEncode(b); string(enc) != string(want) {
+				t.Fatalf("n=%d: Encode = %x, reference %x", n, enc, want)
+			}
+			if app := b.AppendEncode([]byte("pre")); string(app) != "pre"+string(enc) {
+				t.Fatalf("n=%d: AppendEncode = %x", n, app)
+			}
+			// Stray bits: every bit past n in the last byte, plus a trailing
+			// byte of garbage, must be ignored.
+			stray := append([]byte(nil), enc...)
+			if rem := n % 8; rem != 0 {
+				stray[len(stray)-1] |= 0xFF << uint(rem)
+			}
+			stray = append(stray, 0xFF)
+			for _, buf := range [][]byte{enc, stray} {
+				if err := dst.Load(buf); err != nil {
+					t.Fatalf("n=%d: Load: %v", n, err)
+				}
+				want := refDecode(buf)
+				if !dst.Equal(want) || dst.Count() != want.Count() {
+					t.Fatalf("n=%d: Load = %v, reference %v", n, dst.Ones(), want.Ones())
+				}
+				if string(dst.Encode()) != string(enc) {
+					t.Fatalf("n=%d: Load kept stray bits: %x vs %x", n, dst.Encode(), enc)
+				}
+			}
+		}
+	}
+}
+
+func TestLoadErrorLeavesBitmapUnchanged(t *testing.T) {
+	t.Parallel()
+	b := New(20)
+	b.Set(3)
+	for _, buf := range [][]byte{nil, {0, 0}, {0, 0, 0, 100}, {0xFF, 0xFF, 0xFF, 0xFF, 1}} {
+		if err := b.Load(buf); err == nil {
+			t.Fatalf("Load(%x) succeeded", buf)
+		}
+		if b.Len() != 20 || !b.Test(3) || b.Count() != 1 {
+			t.Fatalf("failed Load(%x) changed the bitmap", buf)
+		}
+	}
+}
+
+func TestCopyFromAndClearAll(t *testing.T) {
+	t.Parallel()
+	src := New(130)
+	src.Set(0)
+	src.Set(129)
+	dst := New(300)
+	dst.SetAll()
+	dst.CopyFrom(src)
+	if !dst.Equal(src) {
+		t.Fatalf("CopyFrom shrink: %v", dst.Ones())
+	}
+	dst.Set(5)
+	if src.Test(5) {
+		t.Fatal("CopyFrom shares storage")
+	}
+	small := New(3)
+	small.CopyFrom(src)
+	if !small.Equal(src) {
+		t.Fatalf("CopyFrom grow: %v", small.Ones())
+	}
+	small.ClearAll()
+	if small.Count() != 0 || small.Len() != 130 {
+		t.Fatalf("ClearAll: len %d count %d", small.Len(), small.Count())
+	}
+}
+
+// TestInPlaceCodecDoesNotAllocate pins the receive-path contract: loading
+// into a bitmap with the capacity, and copying between bitmaps, allocate
+// nothing.
+func TestInPlaceCodecDoesNotAllocate(t *testing.T) {
+	b := New(1000)
+	b.Set(7)
+	enc := b.Encode()
+	dst, cp := New(1000), New(1000)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := dst.Load(enc); err != nil {
+			t.Fatal(err)
+		}
+		cp.CopyFrom(dst)
+	}); allocs != 0 {
+		t.Errorf("Load+CopyFrom cost %.1f allocs, want 0", allocs)
+	}
+	if !cp.Equal(b) {
+		t.Fatal("in-place copy mismatch")
+	}
+}

@@ -63,19 +63,19 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 // bitmap is an advertisement from the requester, and the request solicits
 // this peer's own (prioritized) bitmap transmission.
 func (p *Peer) handleBitmapInterest(in *ndn.Interest) {
-	payload, err := decodeBitmapPayload(in.AppParams)
-	if err != nil {
+	a := &p.advert
+	if a.decode(in.AppParams) != nil {
 		return
 	}
-	p.neighborHeard(payload.Owner)
-	cs, ok := p.collections[string(p.nameKey(payload.Collection))]
+	p.neighborHeard(a.owner)
+	cs, ok := p.collections[string(a.key)]
 	if !ok || cs.manifest == nil {
 		// We can still use the overheard bitmap for forwarding decisions
 		// about collections we do not hold (Section V-B).
-		p.recordOverheardBitmap(payload)
+		p.recordOverheardBitmap(a)
 		return
 	}
-	p.observeAdvertisement(cs, payload, false)
+	p.observeAdvertisement(cs, a, false)
 	s := p.touchSession(cs)
 	if !s.transmitted && !cs.txPending() {
 		p.scheduleBitmapTx(cs)
@@ -89,22 +89,22 @@ func (cs *collectionState) txPending() bool {
 
 // handleBitmapData processes an advertisement transmission heard on air.
 func (p *Peer) handleBitmapData(d *ndn.Data) {
-	payload, err := decodeBitmapPayload(d.Content)
-	if err != nil {
+	a := &p.advert
+	if a.decode(d.Content) != nil {
 		return
 	}
-	p.neighborHeard(payload.Owner)
-	cs, ok := p.collections[string(p.nameKey(payload.Collection))]
+	p.neighborHeard(a.owner)
+	cs, ok := p.collections[string(a.key)]
 	if !ok || cs.manifest == nil {
-		p.recordOverheardBitmap(payload)
+		p.recordOverheardBitmap(a)
 		return
 	}
-	p.observeAdvertisement(cs, payload, true)
+	p.observeAdvertisement(cs, a, true)
 
 	s := p.touchSession(cs)
 	s.heardCount++
-	if payload.Bitmap.Len() == s.heardUnion.Len() {
-		_ = s.heardUnion.Or(payload.Bitmap)
+	if a.bitmap.Len() == s.heardUnion.Len() {
+		_ = s.heardUnion.Or(a.bitmap)
 	}
 	s.lastActivity = p.k.Now()
 
@@ -120,30 +120,27 @@ func (p *Peer) handleBitmapData(d *ndn.Data) {
 // recordOverheadBitmap stores advertisements for collections this peer does
 // not itself hold, enabling informed forwarding decisions (Section V-B:
 // "intermediate peers interested in a different file collection").
-func (p *Peer) recordOverheardBitmap(payload bitmapPayload) {
-	if !p.cfg.Multihop || payload.Bitmap == nil {
+func (p *Peer) recordOverheardBitmap(a *advert) {
+	if !p.cfg.Multihop {
 		return
 	}
-	cs, ok := p.collections[string(p.nameKey(payload.Collection))]
+	cs, ok := p.collections[string(a.key)]
 	if !ok {
-		cs = newCollectionState(payload.Collection)
+		cs = newCollectionState(a.collection())
 		p.collections[cs.key] = cs
 	}
-	cs.avail[payload.Owner] = payload.Bitmap.Clone()
+	cs.storeAvail(a.owner, a.bitmap)
 }
 
 // observeAdvertisement folds a peer's bitmap into availability and strategy
 // state.
-func (p *Peer) observeAdvertisement(cs *collectionState, payload bitmapPayload, viaData bool) {
-	if payload.Bitmap == nil || cs.manifest == nil {
+func (p *Peer) observeAdvertisement(cs *collectionState, a *advert, viaData bool) {
+	if cs.manifest == nil || a.bitmap.Len() != cs.manifest.TotalPackets() {
 		return
 	}
-	if payload.Bitmap.Len() != cs.manifest.TotalPackets() {
-		return
-	}
-	cs.avail[payload.Owner] = payload.Bitmap.Clone()
+	cs.storeAvail(a.owner, a.bitmap)
 	if cs.strategy != nil {
-		cs.strategy.Observe(payload.Owner, payload.Bitmap)
+		cs.strategy.Observe(a.owner, a.bitmap)
 	}
 	if !viaData {
 		p.maybeStartFetch(cs)

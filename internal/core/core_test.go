@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dapes/internal/bitmap"
 	"dapes/internal/geo"
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
@@ -504,6 +505,68 @@ func TestPeerAccessorsDoNotAllocate(t *testing.T) {
 		}
 		if done != known || has != known || (have > 0) != known {
 			t.Fatalf("%s: Done=%v HasPacket=%v have=%d; want known=%v", coll, done, has, have, known)
+		}
+	}
+}
+
+// TestBitmapDataFromKnownNeighborDoesNotAllocate pins the advertisement
+// receive path at 0 allocations once a neighbor has been heard: the
+// payload decodes into the peer's scratch, the collection is found by a
+// key taken from the URI bytes, and the neighbor's stored bitmaps (the
+// availability entry and the RPF strategy's copy, or the overheard entry
+// of a collection the peer does not hold) are overwritten in place. The
+// two alternating advertisements differ, so every copy really happens.
+func TestBitmapDataFromKnownNeighborDoesNotAllocate(t *testing.T) {
+	res := testCollection(t, 2, 10, metadata.FormatPacketDigest)
+	n := res.Manifest.TotalPackets()
+	advert := func(coll ndn.Name, owner, seq int, set ...int) *ndn.Data {
+		bm := bitmap.New(n)
+		for _, i := range set {
+			bm.Set(i)
+		}
+		d := &ndn.Data{
+			Name:    bitmapDataName(coll, owner, seq),
+			Content: bitmapPayload{Collection: coll, Owner: owner, Bitmap: bm}.encode(),
+		}
+		d.SignDigest()
+		dec, err := ndn.DecodeData(d.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	for _, tc := range []struct {
+		name string
+		coll ndn.Name
+	}{
+		{"held collection", res.Manifest.Collection},
+		{"overheard collection", ndn.ParseName("/other/collection")},
+	} {
+		net := newTestNet(7, 100)
+		p := net.peer(geo.Point{}, Config{Multihop: true})
+		if err := p.Publish(res); err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		const owner = 42
+		a, b := advert(tc.coll, owner, 1, 0, 3), advert(tc.coll, owner, 2, 1, 19)
+		flip := false
+		allocs := testing.AllocsPerRun(100, func() {
+			d := a
+			if flip = !flip; flip {
+				d = b
+			}
+			p.handleData(owner, d)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: bitmap Data from a known neighbor costs %.1f allocs, want 0", tc.name, allocs)
+		}
+		cs := p.collections[string(tc.coll.AppendKey(nil))]
+		if cs == nil {
+			t.Fatalf("%s: no state for %s", tc.name, tc.coll)
+		}
+		if got := cs.avail[owner]; got == nil || got.Count() != 2 || !(got.Test(0) || got.Test(1)) {
+			t.Fatalf("%s: stored availability %v", tc.name, got)
 		}
 	}
 }

@@ -170,12 +170,14 @@ func (p *Peer) selectNext(cs *collectionState) int {
 		_, buffered := cs.unverified[file][pkt]
 		return buffered
 	}
-	avail := cs.availabilityUnion(cs.manifest.TotalPackets())
-	idx := cs.strategy.NextRequest(cs.own, avail, skip)
+	n := cs.manifest.TotalPackets()
+	idx := cs.strategy.NextRequest(cs.own, cs.availabilityUnion(n), skip)
 	if idx < 0 && p.cfg.Multihop {
-		all := bitmap.New(cs.manifest.TotalPackets())
-		all.SetAll()
-		idx = cs.strategy.NextRequest(cs.own, all, skip)
+		if cs.allOnes == nil {
+			cs.allOnes = bitmap.New(n)
+			cs.allOnes.SetAll()
+		}
+		idx = cs.strategy.NextRequest(cs.own, cs.allOnes, skip)
 	}
 	return idx
 }

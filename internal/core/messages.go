@@ -11,6 +11,7 @@ import (
 
 // Protocol namespace (Section IV-B): signaling lives under /dapes.
 var (
+	protocolPrefix  = ndn.ParseName("/dapes")
 	discoveryPrefix = ndn.ParseName("/dapes/discovery")
 	bitmapPrefix    = ndn.ParseName("/dapes/bitmap")
 )
@@ -51,7 +52,8 @@ func isDiscoveryReply(name ndn.Name) (peerID int, ok bool) {
 	if name.At(discoveryPrefix.Len()) != "reply" {
 		return 0, false
 	}
-	id, err := name.Prefix(name.Len() - 1).Seq()
+	// The responder is the next-to-last component: drop the last in place.
+	id, err := name[:name.Len()-1].Seq()
 	if err != nil {
 		return 0, false
 	}
@@ -97,7 +99,8 @@ func decodeDiscoveryPayload(buf []byte) (discoveryPayload, error) {
 }
 
 // bitmapPayload travels in bitmap Interests (AppParams) and bitmap Data
-// (content): the owner's bitmap for one collection.
+// (content): the owner's bitmap for one collection. It is the encoding
+// side; received payloads are decoded in place into an advert.
 type bitmapPayload struct {
 	Collection ndn.Name
 	Owner      int
@@ -106,32 +109,56 @@ type bitmapPayload struct {
 
 func (p bitmapPayload) encode() []byte {
 	uri := p.Collection.String()
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(uri)))
+	// Room for the URI and owner headers plus the bitmap's whole words.
+	b := make([]byte, 0, 2+len(uri)+4+4+p.Bitmap.Len()/8+8)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(uri)))
 	b = append(b, uri...)
 	b = binary.BigEndian.AppendUint32(b, uint32(p.Owner))
-	return append(b, p.Bitmap.Encode()...)
+	return p.Bitmap.AppendEncode(b)
 }
 
-func decodeBitmapPayload(buf []byte) (bitmapPayload, error) {
-	var p bitmapPayload
+// advert is a received bitmap payload decoded in place into scratch a peer
+// owns: every field is overwritten by the next decode, so a decoded advert
+// is valid only inside the handler that decoded it, and whatever outlives
+// the handler is copied out (docs/CONTRACTS.md). No Name is built: the
+// collection's map key comes straight from the URI bytes.
+type advert struct {
+	uri    []byte // the collection URI: a view into the decoded buffer
+	key    []byte // ndn.AppendURIKey(uri): the collection's map key
+	owner  int
+	bitmap *bitmap.Bitmap
+}
+
+// decode parses a bitmapPayload encoding into a. On error a keeps its
+// previous contents.
+func (a *advert) decode(buf []byte) error {
 	if len(buf) < 2 {
-		return p, errBadMessage
+		return errBadMessage
 	}
 	l := int(binary.BigEndian.Uint16(buf))
 	pos := 2
 	if pos+l+4 > len(buf) {
-		return p, errBadMessage
+		return errBadMessage
 	}
-	p.Collection = ndn.ParseName(string(buf[pos : pos+l]))
+	uri := buf[pos : pos+l]
 	pos += l
-	p.Owner = int(binary.BigEndian.Uint32(buf[pos:]))
+	owner := int(binary.BigEndian.Uint32(buf[pos:]))
 	pos += 4
-	bm, err := bitmap.Decode(buf[pos:])
-	if err != nil {
-		return p, fmt.Errorf("core: bitmap payload: %w", err)
+	if a.bitmap == nil {
+		a.bitmap = bitmap.New(0)
 	}
-	p.Bitmap = bm
-	return p, nil
+	if err := a.bitmap.Load(buf[pos:]); err != nil {
+		return fmt.Errorf("core: bitmap payload: %w", err)
+	}
+	a.uri, a.owner = uri, owner
+	a.key = ndn.AppendURIKey(a.key[:0], uri)
+	return nil
+}
+
+// collection builds the advertised collection's Name, for the one caller
+// that keeps it: a collection state created from an overheard advert.
+func (a *advert) collection() ndn.Name {
+	return ndn.ParseName(string(a.uri))
 }
 
 // collectionKey is a short stable name component for a collection, used in
@@ -178,5 +205,5 @@ func isBitmapData(name ndn.Name) bool {
 // isProtocolName reports whether the name belongs to the /dapes signaling
 // namespace (as opposed to collection data).
 func isProtocolName(name ndn.Name) bool {
-	return discoveryPrefix.Prefix(1).IsPrefixOf(name)
+	return protocolPrefix.IsPrefixOf(name)
 }

@@ -51,10 +51,14 @@ func FuzzDiscoveryPayload(f *testing.F) {
 	})
 }
 
-// FuzzBitmapPayload explores decodeBitmapPayload, the codec for the
+// FuzzBitmapPayload explores advert.decode, the codec for the
 // advertisement bitmaps riding in bitmap Interests (AppParams) and bitmap
 // Data (content). A malformed overheard frame must never panic the handlers
-// that feed availability state from it.
+// that feed availability state from it. Handlers decode into a peer's
+// reused scratch, so the fuzzer also holds an in-place decode over a
+// previously loaded advert to a fresh one, requires a failed decode to
+// leave the scratch alone, and requires the key taken from the URI bytes
+// to be the parsed collection's AppendKey.
 func FuzzBitmapPayload(f *testing.F) {
 	full := bitmap.New(64)
 	full.SetAll()
@@ -73,27 +77,52 @@ func FuzzBitmapPayload(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, '/', 'a'})                          // huge URI length claim
 	f.Add([]byte{0, 1, '/', 0, 0, 0, 7})                         // bitmap header truncated
 	f.Add([]byte{0, 1, '/', 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF}) // bitmap claims 2^32-1 bits
+	// Doubled slashes in the URI, and stray bits past n in the bitmap.
+	f.Add([]byte{0, 6, '/', 'a', '/', '/', 'b', '/', 0, 0, 0, 1, 0, 0, 0, 9, 0xFF, 0xFF})
+
+	prevBits := bitmap.New(300)
+	prevBits.SetAll()
+	prev := bitmapPayload{Collection: ndn.ParseName("/previous/advert"), Owner: 77, Bitmap: prevBits}.encode()
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		p, err := decodeBitmapPayload(buf)
+		var fresh, scratch advert
+		if err := scratch.decode(prev); err != nil {
+			t.Fatal(err)
+		}
+		err := fresh.decode(buf)
+		if scratchErr := scratch.decode(buf); (err == nil) != (scratchErr == nil) {
+			t.Fatalf("fresh decode error %v, in-place decode error %v", err, scratchErr)
+		}
 		if err != nil {
+			if scratch.owner != 77 || !scratch.bitmap.Equal(prevBits) || string(scratch.uri) != "/previous/advert" {
+				t.Fatalf("failed decode changed the scratch: %+v", scratch)
+			}
 			return
 		}
-		if p.Bitmap == nil {
+		if fresh.bitmap == nil {
 			t.Fatal("decode succeeded with nil bitmap")
 		}
-		re := p.encode()
-		p2, err := decodeBitmapPayload(re)
-		if err != nil {
+		if string(scratch.uri) != string(fresh.uri) || scratch.owner != fresh.owner ||
+			!scratch.bitmap.Equal(fresh.bitmap) || string(scratch.key) != string(fresh.key) {
+			t.Fatalf("in-place decode differs from fresh:\nfresh:    %+v\nin place: %+v", fresh, scratch)
+		}
+		coll := fresh.collection()
+		if want := coll.AppendKey(nil); string(fresh.key) != string(want) {
+			t.Fatalf("key %x, want ParseName(%q).AppendKey = %x", fresh.key, fresh.uri, want)
+		}
+		re := bitmapPayload{Collection: coll, Owner: fresh.owner, Bitmap: fresh.bitmap}.encode()
+		var again advert
+		if err := again.decode(re); err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
 		}
-		if !p.Collection.Equal(p2.Collection) || p.Owner != p2.Owner || !p.Bitmap.Equal(p2.Bitmap) {
-			t.Fatalf("payload not a fixed point:\nfirst:  %+v\nsecond: %+v", p, p2)
+		if !coll.Equal(again.collection()) || fresh.owner != again.owner || !fresh.bitmap.Equal(again.bitmap) {
+			t.Fatalf("payload not a fixed point:\nfirst:  %+v\nsecond: %+v", fresh, again)
 		}
 		// The re-encoding itself must be stable byte-for-byte, since bitmap
 		// payloads are compared and unioned by content across peers.
-		if !bytes.Equal(re, p2.encode()) {
-			t.Fatalf("encode not stable: %x vs %x", re, p2.encode())
+		re2 := bitmapPayload{Collection: again.collection(), Owner: again.owner, Bitmap: again.bitmap}.encode()
+		if !bytes.Equal(re, re2) {
+			t.Fatalf("encode not stable: %x vs %x", re, re2)
 		}
 	})
 }

@@ -97,12 +97,15 @@ func TestBitmapPayloadRoundTrip(t *testing.T) {
 		Owner:      13,
 		Bitmap:     bm,
 	}
-	out, err := decodeBitmapPayload(p.encode())
-	if err != nil {
+	var out advert
+	if err := out.decode(p.encode()); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Collection.Equal(p.Collection) || out.Owner != 13 || !out.Bitmap.Equal(bm) {
+	if !out.collection().Equal(p.Collection) || out.owner != 13 || !out.bitmap.Equal(bm) {
 		t.Fatalf("roundtrip = %+v", out)
+	}
+	if string(out.key) != string(p.Collection.AppendKey(nil)) {
+		t.Fatalf("key %q, want the collection's AppendKey", out.key)
 	}
 }
 
@@ -110,7 +113,8 @@ func TestBitmapPayloadDecodeErrors(t *testing.T) {
 	t.Parallel()
 	cases := [][]byte{nil, {0}, {0, 5, 'a', 'b'}, {0, 1, 'x', 0, 0, 0, 1}}
 	for i, buf := range cases {
-		if _, err := decodeBitmapPayload(buf); err == nil {
+		var a advert
+		if err := a.decode(buf); err == nil {
 			t.Fatalf("case %d decoded", i)
 		}
 	}
@@ -167,8 +171,9 @@ func TestBitmapPayloadRoundTripProperty(t *testing.T) {
 			bm.Set(int(b) % 256)
 		}
 		p := bitmapPayload{Collection: ndn.ParseName("/c"), Owner: int(owner), Bitmap: bm}
-		out, err := decodeBitmapPayload(p.encode())
-		return err == nil && out.Owner == int(owner) && out.Bitmap.Equal(bm)
+		var out advert
+		err := out.decode(p.encode())
+		return err == nil && out.owner == int(owner) && out.bitmap.Equal(bm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -42,6 +42,8 @@ type Peer struct {
 	wanted      []ndn.Name
 	neighbors   map[int]*neighbor
 	keyBuf      []byte
+	// advert is the scratch every received bitmap payload is decoded into.
+	advert advert
 
 	beaconPeriod   time.Duration
 	beaconT        *sim.Timer

@@ -59,8 +59,13 @@ type collectionState struct {
 
 	strategy rpf.Strategy
 
-	// availability: latest advertised bitmap per neighbor.
+	// availability: latest advertised bitmap per neighbor. A neighbor's
+	// bitmap is allocated when it is first heard and overwritten in place
+	// afterwards (storeAvail).
 	avail map[int]*bitmap.Bitmap
+	// union and allOnes are selectNext's availability bitmaps, kept here so
+	// a selection allocates nothing (availabilityUnion).
+	union, allOnes *bitmap.Bitmap
 
 	session advertSession
 	// txT arms this peer's prioritized advertisement transmission (armed =
@@ -92,16 +97,31 @@ func newCollectionState(collection ndn.Name) *collectionState {
 	}
 }
 
-// availabilityUnion returns the union of all live advertised bitmaps.
+// storeAvail records owner's latest advertised bitmap, copying it into the
+// bitmap already stored for owner or, on first sight, into a clone.
+func (cs *collectionState) storeAvail(owner int, bm *bitmap.Bitmap) {
+	if old, ok := cs.avail[owner]; ok {
+		old.CopyFrom(bm)
+		return
+	}
+	cs.avail[owner] = bm.Clone()
+}
+
+// availabilityUnion returns the union of all live advertised bitmaps. The
+// result is storage owned by the collection, valid until the next call.
 func (cs *collectionState) availabilityUnion(n int) *bitmap.Bitmap {
-	u := bitmap.New(n)
+	if cs.union == nil || cs.union.Len() != n {
+		cs.union = bitmap.New(n)
+	} else {
+		cs.union.ClearAll()
+	}
 	for _, bm := range cs.avail {
 		if bm.Len() == n {
 			// Union never fails for equal lengths.
-			_ = u.Or(bm)
+			_ = cs.union.Or(bm)
 		}
 	}
-	return u
+	return cs.union
 }
 
 // complete reports whether every packet has been verified and stored.

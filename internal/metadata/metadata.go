@@ -82,8 +82,8 @@ type Manifest struct {
 // bitmap length for this collection.
 func (m *Manifest) TotalPackets() int {
 	total := 0
-	for _, f := range m.Files {
-		total += f.PacketCount
+	for i := range m.Files { // by index: a FileInfo is too large to copy per file
+		total += m.Files[i].PacketCount
 	}
 	return total
 }

@@ -21,6 +21,7 @@
 package ndn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -86,6 +87,26 @@ func (n Name) AppendKey(dst []byte) []byte {
 	for _, c := range n {
 		dst = binary.AppendUvarint(dst, uint64(len(c)))
 		dst = append(dst, c...)
+	}
+	return dst
+}
+
+// AppendURIKey appends the AppendKey form of the name whose URI is uri,
+// without building the Name: it equals ParseName(string(uri)).AppendKey(dst)
+// for every input. Like ParseName it drops the empty components that
+// leading, trailing and doubled slashes produce.
+func AppendURIKey(dst, uri []byte) []byte {
+	for len(uri) > 0 {
+		c := uri
+		if i := bytes.IndexByte(uri, '/'); i >= 0 {
+			c, uri = uri[:i], uri[i+1:]
+		} else {
+			uri = nil
+		}
+		if len(c) > 0 {
+			dst = binary.AppendUvarint(dst, uint64(len(c)))
+			dst = append(dst, c...)
+		}
 	}
 	return dst
 }

@@ -145,6 +145,62 @@ func TestNameStringAllocatesOnce(t *testing.T) {
 	}
 }
 
+func TestAppendURIKeyMatchesParseName(t *testing.T) {
+	t.Parallel()
+	check := func(uri string) bool {
+		want := ParseName(uri).AppendKey([]byte("pre"))
+		return string(AppendURIKey([]byte("pre"), []byte(uri))) == string(want)
+	}
+	for _, uri := range []string{"", "/", "//", "a", "/a", "a/", "/a/b", "//a//b/", "/a/b/c/", "/\x00/\xff"} {
+		if !check(uri) {
+			t.Fatalf("AppendURIKey(%q) != ParseName(%q).AppendKey", uri, uri)
+		}
+	}
+	// Property over URIs dense in slashes, so empty components, doubled
+	// and trailing separators all occur.
+	f := func(raw []byte) bool {
+		for i := range raw {
+			if raw[i]%4 == 0 {
+				raw[i] = '/'
+			}
+		}
+		return check(string(raw))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeNameAllocatesTwice pins the decoder's cost: one Name slice and
+// one string shared by every component, whatever the component count.
+func TestDecodeNameAllocatesTwice(t *testing.T) {
+	n := ParseName("/dapes/bitmap/0badc0de/adv/17/42")
+	enc := encodeName(nil, n)
+	value := enc[2:] // past the one-byte Name type and length
+	var got Name
+	if allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = decodeName(value); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Fatalf("decodeName: %v allocs, want 2", allocs)
+	}
+	if !got.Equal(n) {
+		t.Fatalf("decodeName = %s, want %s", got, n)
+	}
+	// Non-generic components are skipped, in the count and in the slicing.
+	mixed := appendTLV(nil, tlvGenericNameComponent, []byte("a"))
+	mixed = appendTLV(mixed, 0x99, []byte("skip"))
+	mixed = appendTLV(mixed, tlvGenericNameComponent, []byte("bc"))
+	if got, err := decodeName(mixed); err != nil || !got.Equal(Name{"a", "bc"}) {
+		t.Fatalf("decodeName(mixed) = %q, %v", []Component(got), err)
+	}
+	if got, err := decodeName(nil); err != nil || got != nil {
+		t.Fatalf("decodeName(empty) = %q, %v", []Component(got), err)
+	}
+}
+
 func TestVarNumRoundTrip(t *testing.T) {
 	t.Parallel()
 	vals := []uint64{0, 1, 252, 253, 254, 65535, 65536, 1 << 31, 1 << 40}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // TLV type numbers from the NDN packet specification (the subset used here).
@@ -175,21 +176,43 @@ func encodeName(b []byte, n Name) []byte {
 	return appendTLV(b, tlvName, inner)
 }
 
-// decodeName parses a Name TLV value (the inner component sequence).
+// decodeName parses a Name TLV value (the inner component sequence). The
+// components are counted first and then sliced from one string, so a name
+// costs two allocations however many components it has.
 func decodeName(value []byte) (Name, error) {
-	r := &tlvReader{buf: value}
-	var n Name
+	count, size := 0, 0
+	r := tlvReader{buf: value}
 	for !r.done() {
 		typ, v, err := r.next()
 		if err != nil {
 			return nil, err
 		}
-		if typ != tlvGenericNameComponent {
-			// Unknown component types are preserved as opaque bytes; DAPES
-			// only produces generic components, so simply accept them.
-			continue
+		// Unknown component types are skipped; DAPES only produces generic
+		// components.
+		if typ == tlvGenericNameComponent {
+			count++
+			size += len(v)
 		}
-		n = append(n, Component(v))
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	var b strings.Builder
+	b.Grow(size)
+	r.pos = 0
+	for !r.done() {
+		if typ, v, _ := r.next(); typ == tlvGenericNameComponent {
+			b.Write(v)
+		}
+	}
+	all := b.String()
+	n := make(Name, 0, count)
+	r.pos = 0
+	for !r.done() {
+		if typ, v, _ := r.next(); typ == tlvGenericNameComponent {
+			n = append(n, Component(all[:len(v)]))
+			all = all[len(v):]
+		}
 	}
 	return n, nil
 }

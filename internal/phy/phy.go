@@ -136,14 +136,21 @@ type Stats struct {
 	BytesSent uint64
 }
 
-// reception tracks one in-flight frame at one receiver for collision checks.
-// Records are pooled on the medium; retained marks records a sender-side
-// notify closure still reads after completion, deferring their release to
-// the notify event.
+// reception tracks one in-flight frame at one receiver: the collision
+// window, the receiver and the frame it delivers. Records are pooled on the
+// medium, and each carries a completion callback bound once when the record
+// is created, so scheduling a delivery allocates nothing. A record owns its
+// frame from scheduling until completion; freeReception clears it so the
+// pool holds no payloads. retained marks records a sender-side notify
+// closure still reads after completion, deferring their release to the
+// notify event.
 type reception struct {
 	start, end time.Duration
 	collided   bool
 	retained   bool
+	rx         *Radio
+	frame      Frame
+	fire       func()
 }
 
 // Radio is one node's attachment to the medium.
@@ -622,19 +629,27 @@ func (m *Medium) Neighbors(r *Radio) []int {
 	return out
 }
 
-// newReception takes a record from the pool (or allocates one).
-func (m *Medium) newReception(start, end time.Duration, retained bool) *reception {
+// newReception takes a record from the pool (or allocates one, binding its
+// completion callback for the record's whole life).
+func (m *Medium) newReception(rx *Radio, frame Frame, start, end time.Duration, retained bool) *reception {
+	var rec *reception
 	if n := len(m.recFree); n > 0 {
-		rec := m.recFree[n-1]
+		rec = m.recFree[n-1]
 		m.recFree[n-1] = nil
 		m.recFree = m.recFree[:n-1]
-		*rec = reception{start: start, end: end, retained: retained}
-		return rec
+	} else {
+		rec = &reception{}
+		rec.fire = func() { m.complete(rec) }
 	}
-	return &reception{start: start, end: end, retained: retained}
+	rec.start, rec.end, rec.collided, rec.retained = start, end, false, retained
+	rec.rx, rec.frame = rx, frame
+	return rec
 }
 
+// freeReception returns a record to the pool, dropping its receiver and
+// frame so the pool keeps no payload alive.
 func (m *Medium) freeReception(rec *reception) {
+	rec.rx, rec.frame = nil, Frame{}
 	m.recFree = append(m.recFree, rec)
 }
 
@@ -710,7 +725,7 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 	cands := m.candidatesInRange(r)
 	if len(cands) > 0 && ndn.LooksLikePacket(payload) {
 		// One decode-once packet per transmission, shared by every receiver
-		// below (all their completion closures capture this frame value).
+		// below (each reception record holds a copy of this frame value).
 		// Non-NDN traffic (the IP baselines' routing and transport frames)
 		// skips the attachment: its handlers never ask for the NDN view, so
 		// it should not pay even the wrapper allocation.
@@ -721,33 +736,10 @@ func (m *Medium) BroadcastNotify(r *Radio, payload []byte, notify func(collided 
 		receptions = m.newRecList()
 	}
 	for _, rx := range cands {
-		rec := m.newReception(start, end, notify != nil)
-		// Overlap with any in-flight reception garbles both.
-		for _, other := range rx.inFlight {
-			if rec.start < other.end && other.start < rec.end {
-				rec.collided = true
-				other.collided = true
-			}
-		}
-		// Overlap with the receiver's own transmissions (half-duplex).
-		kept := rx.txWindows[:0]
-		for _, w := range rx.txWindows {
-			if w.end >= start {
-				kept = append(kept, w)
-				if rec.start < w.end && w.start < rec.end {
-					rec.collided = true
-				}
-			}
-		}
-		rx.txWindows = kept
-		rx.inFlight = append(rx.inFlight, rec)
+		rec := m.receive(rx, frame, start, end, notify != nil)
 		if notify != nil {
 			receptions = append(receptions, rec)
 		}
-		rx := rx
-		m.kernel.ScheduleFuncAt(end, func() {
-			m.complete(rx, rec, frame)
-		})
 	}
 	if notify != nil {
 		m.kernel.ScheduleFuncAt(end, func() {
@@ -793,34 +785,45 @@ func (m *Medium) deliverForeign(center geo.Point, fromID int, payload []byte, si
 		frame.pkt = ndn.NewPacket(payload)
 	}
 	for _, rx := range cands {
-		rec := m.newReception(start, end, false)
-		for _, other := range rx.inFlight {
-			if rec.start < other.end && other.start < rec.end {
-				rec.collided = true
-				other.collided = true
-			}
-		}
-		kept := rx.txWindows[:0]
-		for _, w := range rx.txWindows {
-			if w.end >= start {
-				kept = append(kept, w)
-				if rec.start < w.end && w.start < rec.end {
-					rec.collided = true
-				}
-			}
-		}
-		rx.txWindows = kept
-		rx.inFlight = append(rx.inFlight, rec)
-		rx := rx
-		m.kernel.ScheduleFuncAt(end, func() {
-			m.complete(rx, rec, frame)
-		})
+		m.receive(rx, frame, start, end, false)
 	}
 }
 
+// receive registers one reception of frame at rx over [start, end]: it
+// garbles every overlap with rx's in-flight receptions and its own
+// transmissions (half-duplex), and schedules the record's completion at
+// end. The local and the cross-shard delivery paths share it.
+func (m *Medium) receive(rx *Radio, frame Frame, start, end time.Duration, retained bool) *reception {
+	rec := m.newReception(rx, frame, start, end, retained)
+	// Overlap with any in-flight reception garbles both.
+	for _, other := range rx.inFlight {
+		if rec.start < other.end && other.start < rec.end {
+			rec.collided = true
+			other.collided = true
+		}
+	}
+	// Overlap with the receiver's own transmissions (half-duplex).
+	kept := rx.txWindows[:0]
+	for _, w := range rx.txWindows {
+		if w.end >= start {
+			kept = append(kept, w)
+			if rec.start < w.end && w.start < rec.end {
+				rec.collided = true
+			}
+		}
+	}
+	rx.txWindows = kept
+	rx.inFlight = append(rx.inFlight, rec)
+	m.kernel.ScheduleFuncAt(end, rec.fire)
+	return rec
+}
+
 // complete finalizes one reception: removes it from the in-flight set and
-// delivers the frame unless it collided or was lost.
-func (m *Medium) complete(rx *Radio, rec *reception, frame Frame) {
+// delivers the frame unless it collided or was lost. The frame is copied
+// out first, since an unretained record goes back to the pool before the
+// handler runs.
+func (m *Medium) complete(rec *reception) {
+	rx, frame := rec.rx, rec.frame
 	for i, other := range rx.inFlight {
 		if other == rec {
 			rx.inFlight = append(rx.inFlight[:i], rx.inFlight[i+1:]...)

@@ -93,3 +93,55 @@ func TestFrameOutsideMediumStillParses(t *testing.T) {
 		t.Error("malformed fallback frame did not report an error")
 	}
 }
+
+// TestBroadcastAllocsIndependentOfReceivers pins the allocation-free
+// receive path: once the medium's pools are warm, a broadcast costs the
+// same allocations whether one radio or many hear it — reception records
+// carry the frame and a completion callback bound once, so no closure is
+// made per receiver. Covered for the plain and the collision-feedback
+// broadcast.
+func TestBroadcastAllocsIndependentOfReceivers(t *testing.T) {
+	d := &ndn.Data{Name: ndn.ParseName("/coll/file/0"), Content: []byte("steady")}
+	d.SignDigest()
+	wire := d.Encode()
+	notify := func(bool) {}
+
+	perBroadcast := func(receivers int, withNotify bool) float64 {
+		k := sim.NewKernel(3)
+		m := NewMedium(k, Config{Range: 100})
+		sender := m.Attach(geo.Stationary{})
+		delivered := 0
+		for i := 0; i < receivers; i++ {
+			rx := m.Attach(geo.Stationary{At: geo.Point{X: float64(i + 1)}})
+			rx.SetHandler(func(f Frame) {
+				if f.Packet().Data() != nil {
+					delivered++
+				}
+			})
+		}
+		send := func() {
+			if withNotify {
+				m.BroadcastNotify(sender, wire, notify)
+			} else {
+				m.Broadcast(sender, wire)
+			}
+			if err := k.Run(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send() // warm the record, list and event pools
+		allocs := testing.AllocsPerRun(100, send)
+		// AllocsPerRun makes one warm-up call of its own.
+		if delivered != 102*receivers {
+			t.Fatalf("%d receivers: %d deliveries over 102 broadcasts", receivers, delivered)
+		}
+		return allocs
+	}
+	for _, withNotify := range []bool{false, true} {
+		one, many := perBroadcast(1, withNotify), perBroadcast(32, withNotify)
+		if many != one {
+			t.Errorf("notify=%v: a broadcast to 32 receivers costs %.1f allocs, to 1 receiver %.1f; want equal",
+				withNotify, many, one)
+		}
+	}
+}

@@ -113,14 +113,27 @@ func NewLocalNeighborhood(n int, randomStart bool, rng *rand.Rand) *LocalNeighbo
 func (s *LocalNeighborhood) Name() string { return "local-neighborhood" }
 
 // Observe implements Strategy: the latest bitmap per connected peer wins.
+// bm is copied, into the peer's stored bitmap when it has one.
 func (s *LocalNeighborhood) Observe(peerID int, bm *bitmap.Bitmap) {
 	if bm.Len() != s.n {
 		return
 	}
-	s.Disconnect(peerID)
-	c := bm.Clone()
-	_ = s.rarity.Observe(c) // lengths match: checked above
-	s.neighbors[peerID] = c
+	s.neighbors[peerID] = store(s.rarity, s.neighbors[peerID], bm)
+}
+
+// store folds bm into rarity in place of old, the bitmap stored for the
+// same peer (nil if none), and returns the stored copy: old overwritten, or
+// a clone on first sight. Every stored bitmap has passed its strategy's
+// length check, so the rarity updates cannot fail.
+func store(rarity *bitmap.Rarity, old, bm *bitmap.Bitmap) *bitmap.Bitmap {
+	if old == nil {
+		old = bm.Clone()
+	} else {
+		_ = rarity.Forget(old)
+		old.CopyFrom(bm)
+	}
+	_ = rarity.Observe(old)
+	return old
 }
 
 // Disconnect implements Strategy: per the paper, the rarity list is specific
@@ -174,13 +187,14 @@ func NewEncounterBased(n, history int, randomStart bool, rng *rand.Rand) *Encoun
 func (s *EncounterBased) Name() string { return "encounter-based" }
 
 // Observe implements Strategy: re-observing a known peer refreshes its bitmap
-// and recency; new peers evict the oldest entry beyond the history bound.
+// (copied in place) and recency; new peers evict the oldest entry beyond the
+// history bound.
 func (s *EncounterBased) Observe(peerID int, bm *bitmap.Bitmap) {
 	if bm.Len() != s.n {
 		return
 	}
-	if old, known := s.bitmaps[peerID]; known {
-		_ = s.rarity.Forget(old) // every stored bitmap passed the length check
+	old := s.bitmaps[peerID]
+	if old != nil {
 		for i, id := range s.order {
 			if id == peerID {
 				s.order = append(s.order[:i], s.order[i+1:]...)
@@ -189,9 +203,7 @@ func (s *EncounterBased) Observe(peerID int, bm *bitmap.Bitmap) {
 		}
 	}
 	s.order = append(s.order, peerID)
-	c := bm.Clone()
-	_ = s.rarity.Observe(c) // lengths match: checked above
-	s.bitmaps[peerID] = c
+	s.bitmaps[peerID] = store(s.rarity, old, bm)
 	for len(s.order) > s.history {
 		oldest := s.order[0]
 		s.order = s.order[1:]

@@ -347,3 +347,48 @@ func TestNextRequestDoesNotAllocate(t *testing.T) {
 		t.Fatal("NextRequest found nothing; the pin is vacuous")
 	}
 }
+
+// TestObserveCopiesIntoStoredBitmap pins the contract both strategies give
+// a caller that decodes every advertisement into one reused scratch bitmap:
+// Observe keeps a copy, never the caller's bitmap, and re-observing a known
+// peer overwrites that copy in place without allocating.
+func TestObserveCopiesIntoStoredBitmap(t *testing.T) {
+	type subject struct {
+		s      Strategy
+		stored map[int]*bitmap.Bitmap
+		rarity *bitmap.Rarity
+	}
+	local, enc := NewLocalNeighborhood(100, false, nil), NewEncounterBased(100, 4, false, nil)
+	for _, tc := range []subject{{local, local.neighbors, local.rarity}, {enc, enc.bitmaps, enc.rarity}} {
+		scratch := mk(100, 1, 2, 3)
+		tc.s.Observe(7, scratch)
+		stored := tc.stored[7]
+		if stored == scratch || !stored.Equal(mk(100, 1, 2, 3)) {
+			t.Fatalf("%s: Observe stored the caller's bitmap or a wrong copy", tc.s.Name())
+		}
+		scratch.CopyFrom(mk(100, 50))
+		// Rarity counts the observed bitmaps missing a packet.
+		if !stored.Equal(mk(100, 1, 2, 3)) || tc.rarity.Of(50) != 1 {
+			t.Fatalf("%s: reusing the caller's bitmap changed the strategy's state", tc.s.Name())
+		}
+		other := mk(100, 60)
+		flip := false
+		if allocs := testing.AllocsPerRun(100, func() {
+			if flip = !flip; flip {
+				tc.s.Observe(7, scratch)
+			} else {
+				tc.s.Observe(7, other)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: re-observing a known peer costs %.1f allocs, want 0", tc.s.Name(), allocs)
+		}
+		if tc.stored[7] != stored {
+			t.Errorf("%s: re-observe replaced the stored bitmap instead of copying into it", tc.s.Name())
+		}
+		// AllocsPerRun's 101 calls end on the scratch bitmap.
+		if !stored.Equal(scratch) || tc.rarity.Of(50) != 0 || tc.rarity.Of(60) != 1 || tc.rarity.Seen() != 1 {
+			t.Fatalf("%s: stored %v after alternating observes, rarity(50)=%d rarity(60)=%d",
+				tc.s.Name(), stored.Ones(), tc.rarity.Of(50), tc.rarity.Of(60))
+		}
+	}
+}
