@@ -131,16 +131,21 @@ plan-report:
 # lookup contract, the completion counter held to a scan of Peer.Done
 # under cold restarts (S=1 and S=2) with its zero-alloc predicate, the
 # RPF running rarity counts held to a from-scratch recount and to the
-# map-scan selection, and the allocation-free receive path: broadcast cost
+# map-scan selection, the allocation-free receive path (broadcast cost
 # independent of the receiver count, a known neighbor's bitmap Data handled
 # with 0 allocs, the word-wise bitmap codec held to a bit-by-bit reference,
-# and the name decoder's and URI-key's contracts. TestGateListsNameRealTests fails if a name below no
+# and the name decoder's and URI-key's contracts), and the neighbor query:
+# random-direction positions bit-identical to the per-call trigonometry and
+# binary search they replaced, the grid's cached Near answers held to a
+# fresh grid, and the drift prefilter at its exact bound on the local and
+# cross-shard paths. TestGateListsNameRealTests fails if a name below no
 # longer exists.
 golden:
 	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep|TestCompletionCounterMatchesScan|TestCompletionPredicateDoesNotAllocate' -count=1 ./internal/experiment/
-	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral|TestBroadcastAllocsIndependentOfReceivers' -count=1 ./internal/phy/
+	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral|TestBroadcastAllocsIndependentOfReceivers|TestPrefilterSoundAtDriftBoundLocal|TestPrefilterSoundAtDriftBoundCrossShard' -count=1 ./internal/phy/
 	$(GO) test -run 'TestWheelMatchesHeapUnderChurn|TestCancelReclaimsQueueSpace|TestTimerResetDoesNotAllocate|TestShardedSingleShardMatchesKernel|TestShardedSerialMatchesParallel|TestWindowBatchingMatchesLockstep|TestShardedCloseLifecycle' -count=1 ./internal/sim/
 	$(GO) test -run 'TestLookupPathsDoNotAllocate' -count=1 ./internal/nfd/
+	$(GO) test -run 'TestRandomDirectionMatchesReferenceBitExact|TestGridNearProperty' -count=1 ./internal/geo/
 	$(GO) test -run 'TestRunningRarityMatchesRecount|TestNextRequestDoesNotAllocate|TestRarityRunningCountsProperty|TestObserveCopiesIntoStoredBitmap|TestWordwiseCodecMatchesBitwiseReference|TestInPlaceCodecDoesNotAllocate' -count=1 ./internal/rpf/ ./internal/bitmap/
 	$(GO) test -run 'TestBitmapDataFromKnownNeighborDoesNotAllocate|TestDecodeNameAllocatesTwice|TestAppendURIKeyMatchesParseName' -count=1 ./internal/core/ ./internal/ndn/
 

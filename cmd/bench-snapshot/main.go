@@ -71,15 +71,20 @@ type ScenarioResult struct {
 
 // Snapshot is the emitted document.
 type Snapshot struct {
-	Issue     int              `json:"issue"`
-	GoVersion string           `json:"go_version"`
-	GOOS      string           `json:"goos"`
-	GOARCH    string           `json:"goarch"`
-	Wire      []Bench          `json:"wire"`
-	Phy       []Bench          `json:"phy"`
-	Kernel    []Bench          `json:"kernel"`
-	Scenarios []ScenarioResult `json:"scenarios"`
-	Shard     []Bench          `json:"shard,omitempty"`
+	Issue     int    `json:"issue"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// NumCPU and GOMAXPROCS record the machine the snapshot was measured
+	// on; every time in it is relative to them. Absent (zero) in snapshots
+	// written before they were recorded.
+	NumCPU     int              `json:"num_cpu,omitempty"`
+	GOMAXPROCS int              `json:"gomaxprocs,omitempty"`
+	Wire       []Bench          `json:"wire"`
+	Phy        []Bench          `json:"phy"`
+	Kernel     []Bench          `json:"kernel"`
+	Scenarios  []ScenarioResult `json:"scenarios"`
+	Shard      []Bench          `json:"shard,omitempty"`
 	// Fault is informational only (chaos trials carry deliberate extra work
 	// — re-fetches after cold restarts — that no alloc gate should pin).
 	Fault []Bench `json:"fault,omitempty"`
@@ -421,6 +426,8 @@ func main() {
 		GoVersion:      runtime.Version(),
 		GOOS:           runtime.GOOS,
 		GOARCH:         runtime.GOARCH,
+		NumCPU:         runtime.NumCPU(),
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		Wire:           wireBenches(),
 		Phy:            phyBenches(),
 		Kernel:         kernelBenches(),

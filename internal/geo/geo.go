@@ -68,10 +68,12 @@ func (s Stationary) PositionAt(time.Duration) Point { return s.At }
 func (s Stationary) MaxSpeed() float64 { return 0 }
 
 // randomDirectionLeg is one straight-line segment of a random-direction walk.
+// The heading is stored as its cosine and sine, computed once per leg, so a
+// position costs no trigonometry.
 type randomDirectionLeg struct {
 	start    time.Duration
 	from     Point
-	angle    float64 // radians
+	cos, sin float64 // of the heading angle
 	speed    float64 // m/s
 	duration time.Duration
 }
@@ -86,7 +88,7 @@ func (l randomDirectionLeg) positionAt(t time.Duration) Point {
 		t = l.end()
 	}
 	dt := (t - l.start).Seconds()
-	return l.from.Add(l.speed*dt*math.Cos(l.angle), l.speed*dt*math.Sin(l.angle))
+	return l.from.Add(l.speed*dt*l.cos, l.speed*dt*l.sin)
 }
 
 // RandomDirection implements the paper's mobility model: each node repeatedly
@@ -102,6 +104,10 @@ type RandomDirection struct {
 	maxLeg   time.Duration
 	rng      *rand.Rand
 	legs     []randomDirectionLeg
+	// cur is the leg the previous PositionAt resolved to. Queries mostly
+	// arrive in nondecreasing time, so it or its successor usually covers
+	// the next one without a search.
+	cur int
 }
 
 var _ Mobility = (*RandomDirection)(nil)
@@ -146,7 +152,7 @@ func (w *RandomDirection) nextLeg(start time.Duration, from Point) randomDirecti
 	angle := w.rng.Float64() * 2 * math.Pi
 	speed := w.minSpeed + w.rng.Float64()*(w.maxSpeed-w.minSpeed)
 	dur := w.minLeg + time.Duration(w.rng.Int63n(int64(w.maxLeg-w.minLeg)+1))
-	leg := randomDirectionLeg{start: start, from: from, angle: angle, speed: speed, duration: dur}
+	leg := randomDirectionLeg{start: start, from: from, cos: math.Cos(angle), sin: math.Sin(angle), speed: speed, duration: dur}
 	// Truncate the leg at the boundary so the node "bounces": the next leg
 	// starts at the wall with a fresh random direction.
 	endPos := leg.positionAt(leg.end())
@@ -186,7 +192,21 @@ func (w *RandomDirection) PositionAt(t time.Duration) Point {
 		from := w.area.Clamp(last.positionAt(last.end()))
 		w.legs = append(w.legs, w.nextLeg(last.end(), from))
 	}
-	// Binary search for the covering leg.
+	w.cur = w.coveringLeg(t)
+	return w.area.Clamp(w.legs[w.cur].positionAt(t))
+}
+
+// coveringLeg returns the index of the last leg whose start is at or before
+// t (leg 0 for t before the walk began). It tries the cursor and its
+// successor first and falls back to a binary search, so zero-length legs
+// and exact leg boundaries resolve to the same leg either way.
+func (w *RandomDirection) coveringLeg(t time.Duration) int {
+	if w.covers(w.cur, t) {
+		return w.cur
+	}
+	if w.cur+1 < len(w.legs) && w.covers(w.cur+1, t) {
+		return w.cur + 1
+	}
 	lo, hi := 0, len(w.legs)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -196,7 +216,12 @@ func (w *RandomDirection) PositionAt(t time.Duration) Point {
 			hi = mid - 1
 		}
 	}
-	return w.area.Clamp(w.legs[lo].positionAt(t))
+	return lo
+}
+
+// covers reports whether leg i is the last leg starting at or before t.
+func (w *RandomDirection) covers(i int, t time.Duration) bool {
+	return (i == 0 || w.legs[i].start <= t) && (i == len(w.legs)-1 || w.legs[i+1].start > t)
 }
 
 // Waypoint is a scripted position at a virtual time.

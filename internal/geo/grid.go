@@ -34,16 +34,30 @@ type gridCell struct{ x, y int64 }
 // matching the query radius it touches a small constant number of cells
 // regardless of population.
 //
-// QueryRange returns candidates in ascending ID order. Callers that iterate
-// candidates and perform side effects (the wireless medium scheduling
-// receptions) rely on that order being identical to a brute-force scan over
-// IDs, so it is part of the contract, not an implementation detail.
+// QueryRange and Near return candidates in ascending ID order. Callers
+// that iterate candidates and perform side effects (the wireless medium
+// scheduling receptions) rely on that order being identical to a
+// brute-force scan over IDs, so it is part of the contract, not an
+// implementation detail.
 type Grid struct {
 	cell  float64
 	cells map[gridCell][]int
 	// where[id] is the cell currently holding id, valid when present[id].
 	where   []gridCell
 	present []bool
+
+	// Near's per-cell answers. version is bumped whenever an entry changes
+	// cell or Near is asked for a different radius than nearR; a cached
+	// answer is valid while its version matches.
+	version uint64
+	nearR   float64
+	near    map[gridCell]*nearAnswer
+}
+
+// nearAnswer is Near's cached answer for one query cell.
+type nearAnswer struct {
+	version uint64
+	ids     []int
 }
 
 // NewGrid returns an empty grid with the given cell edge length in meters.
@@ -53,7 +67,7 @@ func NewGrid(cellSize float64) *Grid {
 	if !(cellSize > 0) {
 		panic("geo: NewGrid requires a positive cell size")
 	}
-	return &Grid{cell: cellSize, cells: make(map[gridCell][]int)}
+	return &Grid{cell: cellSize, cells: make(map[gridCell][]int), near: make(map[gridCell]*nearAnswer)}
 }
 
 // CellSize returns the cell edge length the grid was built with.
@@ -119,6 +133,7 @@ func (g *Grid) Move(id int, p Point) {
 	g.present[id] = true
 	g.where[id] = c
 	g.cells[c] = append(g.cells[c], id)
+	g.version++
 }
 
 // Remove deletes id from the index. Removing an absent id is a no-op.
@@ -128,6 +143,7 @@ func (g *Grid) Remove(id int) {
 	}
 	g.removeFromCell(id, g.where[id])
 	g.present[id] = false
+	g.version++
 }
 
 func (g *Grid) removeFromCell(id int, c gridCell) {
@@ -170,6 +186,66 @@ func (g *Grid) QueryRange(center Point, r float64, out []int) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// Near returns, in ascending ID order, every entry bucketed in a cell whose
+// gap to p's cell is at most r: the cells are padded to their full extent
+// on both sides, so the answer depends only on p's cell, never on where in
+// it p lies. That makes it a superset of QueryRange(p, r) — any cell the
+// disc around p touches is within r of p's own cell — and lets the answer
+// be cached per cell: a repeated query from the same cell with no entry
+// having changed cell since costs one map lookup and no sort or
+// allocation. The returned slice is owned by the grid and valid until the
+// next Insert, Move, Remove or Near call; callers must not modify it.
+func (g *Grid) Near(p Point, r float64) []int {
+	if !(r >= 0) {
+		return nil
+	}
+	if r != g.nearR {
+		g.nearR = r
+		g.version++
+	}
+	c := g.cellFor(p)
+	a := g.near[c]
+	if a == nil {
+		a = &nearAnswer{}
+		g.near[c] = a
+	} else if a.version == g.version {
+		return a.ids
+	}
+	a.version = g.version
+	a.ids = a.ids[:0]
+	// Cells d steps away along an axis leave a gap of |d|-1 whole cells.
+	// The radius is widened by a millionth of a cell: a position within
+	// rounding of a cell edge may floor into the neighboring cell, and the
+	// widening keeps every cell QueryRange could visit from there.
+	reach := r + g.cell*1e-6
+	k := int64(math.Floor(reach/g.cell)) + 1
+	r2 := reach * reach
+	for dx := -k; dx <= k; dx++ {
+		gx := gapCells(dx) * g.cell
+		for dy := -k; dy <= k; dy++ {
+			gy := gapCells(dy) * g.cell
+			if gx*gx+gy*gy > r2 {
+				continue
+			}
+			a.ids = append(a.ids, g.cells[gridCell{x: c.x + dx, y: c.y + dy}]...)
+		}
+	}
+	sort.Ints(a.ids)
+	return a.ids
+}
+
+// gapCells returns the number of whole cells between a cell and the one d
+// steps away along an axis.
+func gapCells(d int64) float64 {
+	if d < 0 {
+		d = -d
+	}
+	if d == 0 {
+		return 0
+	}
+	return float64(d - 1)
 }
 
 // axisDist returns the distance from coordinate v to the interval

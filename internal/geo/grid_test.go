@@ -195,3 +195,94 @@ func TestMaxSpeedBounds(t *testing.T) {
 type plainMobility struct{}
 
 func (plainMobility) PositionAt(time.Duration) Point { return Point{} }
+
+// TestGridNearProperty drives random Insert/Move/Remove sequences and holds
+// every Near answer to its contract: sorted, duplicate-free, a superset of
+// QueryRange from the same point, and equal to the answer a freshly built
+// grid with the same entries gives, so a cached answer never outlives a
+// cell change. Same-cell moves must keep the cache valid, and a repeated
+// query with no mutation in between must not allocate. Not parallel:
+// testing.AllocsPerRun counts the allocations of every goroutine.
+func TestGridNearProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 100; iter++ {
+		cell := 5 + rng.Float64()*60
+		g := NewGrid(cell)
+		const n = 40
+		pts := make(map[int]Point)
+		randPoint := func() Point {
+			return Point{X: (rng.Float64() - 0.5) * 300, Y: (rng.Float64() - 0.5) * 300}
+		}
+		r := cell * (0.5 + rng.Float64()*2)
+		if rng.Intn(4) == 0 {
+			r = 1.5 * cell // the medium's radius
+		}
+		queries := []Point{randPoint(), randPoint(), randPoint()}
+		for step := 0; step < 200; step++ {
+			id := rng.Intn(n)
+			before := g.version
+			switch rng.Intn(4) {
+			case 0, 1, 2:
+				p := randPoint()
+				old, had := pts[id]
+				if had && rng.Intn(3) == 0 {
+					p = old.Add(rng.Float64()*0.01, 0) // often stays in its cell
+				}
+				sameCell := had && g.cellFor(p) == g.cellFor(old)
+				if rng.Intn(2) == 0 {
+					g.Insert(id, p)
+				} else {
+					g.Move(id, p)
+				}
+				pts[id] = p
+				if sameCell && g.version != before {
+					t.Fatalf("iter %d: a same-cell move invalidated Near's cache", iter)
+				}
+			case 3:
+				g.Remove(id)
+				delete(pts, id)
+			}
+			if step%7 != 0 {
+				continue
+			}
+			fresh := NewGrid(cell)
+			for id, p := range pts {
+				fresh.Insert(id, p)
+			}
+			for _, q := range queries {
+				got := g.Near(q, r)
+				if !sort.IntsAreSorted(got) {
+					t.Fatalf("iter %d step %d: Near not sorted: %v", iter, step, got)
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i] == got[i-1] {
+						t.Fatalf("iter %d step %d: Near repeats id %d: %v", iter, step, got[i], got)
+					}
+				}
+				in := make(map[int]bool, len(got))
+				for _, id := range got {
+					in[id] = true
+				}
+				for _, id := range g.QueryRange(q, r, nil) {
+					if !in[id] {
+						t.Fatalf("iter %d step %d: QueryRange id %d missing from Near %v", iter, step, id, got)
+					}
+				}
+				want := fresh.Near(q, r)
+				if len(got) != len(want) {
+					t.Fatalf("iter %d step %d: cached Near = %v, fresh grid %v", iter, step, got, want)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("iter %d step %d: cached Near = %v, fresh grid %v", iter, step, got, want)
+					}
+				}
+			}
+		}
+		q := queries[0]
+		g.Near(q, r)
+		if a := testing.AllocsPerRun(50, func() { g.Near(q, r) }); a != 0 {
+			t.Fatalf("iter %d: repeated Near allocates %.1f times per call, want 0", iter, a)
+		}
+	}
+}

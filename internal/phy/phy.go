@@ -175,6 +175,10 @@ type Radio struct {
 	// maxSpeed bounds the mobility model's speed (+Inf when unknown); the
 	// grid index uses it to decide how long a cell assignment stays valid.
 	maxSpeed float64
+	// gridPos is the position the radio was last bucketed at in the grid.
+	// The neighbor query compares it with the query center before
+	// evaluating the mobility model (Medium.appendInRange).
+	gridPos geo.Point
 
 	// col is the radio's current x-column in the medium's boundary
 	// occupancy histogram (sharded compositions only; valid when hasCol).
@@ -244,7 +248,9 @@ type Medium struct {
 	// drifted more than slack meters since lastSync; every query widens its
 	// radius by slack, so the candidate set is always a superset of the
 	// radios truly in range and the exact-distance filter below decides
-	// membership — identically to the naive scan.
+	// membership — identically to the naive scan. Every mobile radio was
+	// bucketed at a time in [lastSync, now]: at the last resync, or when it
+	// attached if that came later.
 	grid         *geo.Grid
 	slack        float64
 	lastSync     time.Duration
@@ -332,9 +338,7 @@ func (m *Medium) Attach(mobility geo.Mobility) *Radio {
 	}
 	m.radios = append(m.radios, r)
 	if m.grid != nil {
-		p := m.positionOf(r)
-		m.grid.Insert(r.idx, p)
-		m.trackCol(r, p)
+		m.rebucket(r)
 		switch {
 		case r.maxSpeed == 0:
 			// Never moves; its cell assignment is permanent.
@@ -415,20 +419,25 @@ func (m *Medium) syncGrid() {
 	gen := m.clockGen()
 	if len(m.unbounded) > 0 && m.unboundedGen != gen {
 		for _, r := range m.unbounded {
-			p := m.positionOf(r)
-			m.grid.Move(r.idx, p)
-			m.trackCol(r, p)
+			m.rebucket(r)
 		}
 		m.unboundedGen = gen
 	}
 	if m.maxSpeed > 0 && m.maxSpeed*(m.posNow-m.lastSync).Seconds() > m.slack {
 		for _, r := range m.mobile {
-			p := m.positionOf(r)
-			m.grid.Move(r.idx, p)
-			m.trackCol(r, p)
+			m.rebucket(r)
 		}
 		m.lastSync = m.posNow
 	}
+}
+
+// rebucket files r in the grid, its gridPos and its boundary column at its
+// position now.
+func (m *Medium) rebucket(r *Radio) {
+	p := m.positionOf(r)
+	m.grid.Move(r.idx, p)
+	r.gridPos = p
+	m.trackCol(r, p)
 }
 
 // enableColTracking turns on the boundary occupancy histogram (sharded
@@ -555,19 +564,52 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 	}
 	m.syncGrid()
 	center := m.positionOf(sender)
-	m.candIDs = m.grid.QueryRange(center, m.cfg.Range+m.slack, m.candIDs[:0])
-	for _, idx := range m.candIDs {
+	// Every radio was bucketed at or after lastSync (unbounded ones at
+	// now), so none has drifted further than maxSpeed·(now−lastSync) from
+	// its gridPos; syncGrid keeps that within slack.
+	drift := m.maxSpeed * (m.posNow - m.lastSync).Seconds()
+	m.appendInRange(m.grid.Near(center, m.cfg.Range+m.slack), center, m.posNow, drift, sender)
+	return m.cand
+}
+
+// appendInRange appends to m.cand, in the order of ids (ascending slots),
+// every enabled radio other than skip that lies within range of center at
+// virtual time at. drift must bound how far any listed radio can have
+// moved between its gridPos and its position at `at`.
+//
+// The drift bound is a prefilter: a radio within range of center at `at`
+// has its gridPos within Range+drift of center (triangle inequality), so
+// a radio whose gridPos lies further out is skipped before its mobility
+// model is evaluated. The bound is widened by a margin of 1e-9 of
+// (Range + drift + |center.X| + |center.Y|): positions, speeds and this
+// squared-distance comparison all round relative to those magnitudes, and
+// the margin covers that rounding with orders of magnitude to spare while
+// rejecting nothing a real radio could reach. The membership test itself
+// is the same float expression as InRange, so the grid can never disagree
+// with the naive scan on a boundary case.
+func (m *Medium) appendInRange(ids []int, center geo.Point, at time.Duration, drift float64, skip *Radio) {
+	reach := m.cfg.Range + drift
+	reach += 1e-9 * (reach + math.Abs(center.X) + math.Abs(center.Y))
+	reach2 := reach * reach
+	for _, idx := range ids {
 		rx := m.radios[idx]
-		if rx == sender || !rx.enabled {
+		if rx == skip || !rx.enabled {
 			continue
 		}
-		// Same float expression as InRange, so the grid can never disagree
-		// with the scan on a boundary case.
-		if center.Distance(m.positionOf(rx)) <= m.cfg.Range {
+		dx, dy := rx.gridPos.X-center.X, rx.gridPos.Y-center.Y
+		if dx*dx+dy*dy > reach2 {
+			continue
+		}
+		var p geo.Point
+		if at == m.posNow {
+			p = m.positionOf(rx)
+		} else {
+			p = rx.mobility.PositionAt(at)
+		}
+		if center.Distance(p) <= m.cfg.Range {
 			m.cand = append(m.cand, rx)
 		}
 	}
-	return m.cand
 }
 
 // candidatesAroundAt mirrors candidatesInRange for a transmission
@@ -579,9 +621,9 @@ func (m *Medium) candidatesInRange(sender *Radio) []*Radio {
 // barrier, as before the batched scheduler) matches the local half of
 // BroadcastNotify, makes the candidate set independent of where the
 // barrier happens to fall, and is what the sender-side mask cull promises
-// to be a superset of. Positions at a past timestamp bypass the per-now
-// cache (mobility models are pure functions of time); the grid query is
-// widened by the extra drift a bucket may have accumulated since `at`.
+// to be a superset of. Positions at a timestamp other than now bypass the
+// per-now cache (mobility models are pure functions of time), and the
+// drift prefilter is measured from `at` to the bucketing times.
 func (m *Medium) candidatesAroundAt(center geo.Point, at time.Duration) []*Radio {
 	m.cand = m.cand[:0]
 	if m.grid == nil {
@@ -603,19 +645,20 @@ func (m *Medium) candidatesAroundAt(center geo.Point, at time.Duration) []*Radio
 		}
 		return m.cand
 	}
-	// Buckets are within slack of positions at now; positions at `at` add
-	// at most maxSpeed·(now−at) more drift.
-	widen := m.slack
-	if m.posNow > at {
-		widen += m.maxSpeed * (m.posNow - at).Seconds()
+	// Mobile radios were bucketed in [lastSync, now] and stationary ones
+	// never move, so a radio's position at `at` lies within drift of its
+	// gridPos, max(at−lastSync, now−at) being the furthest `at` can be
+	// from a time in that interval. Within slack that is the local query's own bound and the
+	// cached Near answer serves; beyond it, widen a one-off QueryRange.
+	drift := m.maxSpeed * max(at-m.lastSync, m.posNow-at).Seconds()
+	var ids []int
+	if drift <= m.slack {
+		ids = m.grid.Near(center, m.cfg.Range+m.slack)
+	} else {
+		m.candIDs = m.grid.QueryRange(center, m.cfg.Range+drift, m.candIDs[:0])
+		ids = m.candIDs
 	}
-	m.candIDs = m.grid.QueryRange(center, m.cfg.Range+widen, m.candIDs[:0])
-	for _, idx := range m.candIDs {
-		rx := m.radios[idx]
-		if rx.enabled && center.Distance(rx.mobility.PositionAt(at)) <= m.cfg.Range {
-			m.cand = append(m.cand, rx)
-		}
-	}
+	m.appendInRange(ids, center, at, drift, nil)
 	return m.cand
 }
 

@@ -38,14 +38,18 @@ type ScenarioPoint struct {
 
 // Snapshot mirrors one BENCH_<n>.json document.
 type Snapshot struct {
-	Issue     int             `json:"issue"`
-	GoVersion string          `json:"go_version"`
-	GOOS      string          `json:"goos"`
-	GOARCH    string          `json:"goarch"`
-	Wire      []BenchPoint    `json:"wire"`
-	Phy       []BenchPoint    `json:"phy"`
-	Kernel    []BenchPoint    `json:"kernel"`
-	Scenarios []ScenarioPoint `json:"scenarios"`
+	Issue     int    `json:"issue"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// NumCPU and GOMAXPROCS record the measuring machine; zero in
+	// snapshots written before they were recorded.
+	NumCPU     int             `json:"num_cpu,omitempty"`
+	GOMAXPROCS int             `json:"gomaxprocs,omitempty"`
+	Wire       []BenchPoint    `json:"wire"`
+	Phy        []BenchPoint    `json:"phy"`
+	Kernel     []BenchPoint    `json:"kernel"`
+	Scenarios  []ScenarioPoint `json:"scenarios"`
 	// Shard is the shard-scaling section (BENCH_6 onward): one dense trial
 	// on the sequential kernel versus the partitioned kernel at 2 and 4
 	// stripes, plus (BENCH_7 onward) the 50k-node urban-metro trial. Trial

@@ -226,3 +226,38 @@ func TestCommittedTrajectoryIsClean(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotMachineHeaderRoundTrips pins the machine header: a committed
+// snapshot from before NumCPU/GOMAXPROCS were recorded still loads (both
+// read as zero), and a snapshot carrying them writes and reloads them
+// unchanged.
+func TestSnapshotMachineHeaderRoundTrips(t *testing.T) {
+	t.Parallel()
+	old, err := LoadTrajectory("../../BENCH_8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old[0].Issue != 8 || old[0].NumCPU != 0 || old[0].GOMAXPROCS != 0 || len(old[0].Scenarios) == 0 {
+		t.Fatalf("BENCH_8.json loaded as issue %d, num_cpu %d, gomaxprocs %d, %d scenarios",
+			old[0].Issue, old[0].NumCPU, old[0].GOMAXPROCS, len(old[0].Scenarios))
+	}
+	cur := old[0]
+	cur.Issue, cur.NumCPU, cur.GOMAXPROCS = 9, 16, 4
+	path := writeSnapshot(t, t.TempDir(), cur)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"num_cpu":16`, `"gomaxprocs":4`} {
+		if !strings.Contains(string(raw), key) {
+			t.Fatalf("written snapshot lacks %s", key)
+		}
+	}
+	back, err := LoadTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back[0].NumCPU != 16 || back[0].GOMAXPROCS != 4 || len(back[0].Scenarios) != len(cur.Scenarios) {
+		t.Fatalf("round trip: num_cpu %d, gomaxprocs %d, %d scenarios", back[0].NumCPU, back[0].GOMAXPROCS, len(back[0].Scenarios))
+	}
+}
