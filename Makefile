@@ -138,8 +138,10 @@ plan-report:
 # random-direction positions bit-identical to the per-call trigonometry and
 # binary search they replaced, the grid's cached Near answers held to a
 # fresh grid, and the drift prefilter at its exact bound on the local and
-# cross-shard paths. TestGateListsNameRealTests fails if a name below no
-# longer exists.
+# cross-shard paths. The tooling pins run here too: `dapes-plan report`
+# over the committed BENCH_*.json against its text/json/csv goldens, and a
+# plan's [faults] section decoding to the same fault plan as fault.Parse.
+# TestGateListsNameRealTests fails if a name below no longer exists.
 golden:
 	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep|TestCompletionCounterMatchesScan|TestCompletionPredicateDoesNotAllocate' -count=1 ./internal/experiment/
 	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral|TestBroadcastAllocsIndependentOfReceivers|TestPrefilterSoundAtDriftBoundLocal|TestPrefilterSoundAtDriftBoundCrossShard' -count=1 ./internal/phy/
@@ -148,6 +150,7 @@ golden:
 	$(GO) test -run 'TestRandomDirectionMatchesReferenceBitExact|TestGridNearProperty' -count=1 ./internal/geo/
 	$(GO) test -run 'TestRunningRarityMatchesRecount|TestNextRequestDoesNotAllocate|TestRarityRunningCountsProperty|TestObserveCopiesIntoStoredBitmap|TestWordwiseCodecMatchesBitwiseReference|TestInPlaceCodecDoesNotAllocate' -count=1 ./internal/rpf/ ./internal/bitmap/
 	$(GO) test -run 'TestBitmapDataFromKnownNeighborDoesNotAllocate|TestDecodeNameAllocatesTwice|TestAppendURIKeyMatchesParseName' -count=1 ./internal/core/ ./internal/ndn/
+	$(GO) test -run 'TestReportGolden|TestFaultsSectionMatchesFaultParse' -count=1 ./cmd/dapes-plan/ ./internal/plan/
 
 # The example binaries, built and executed end to end: each must exit 0
 # within its deadline (examples/smoke_test.go).

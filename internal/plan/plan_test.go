@@ -110,6 +110,9 @@ func TestParseRejects(t *testing.T) {
 		{"nested array", `name = "x"` + "\n" + `optimize = [["a"]]`, "nested"},
 		{"trailing garbage", `name = "x" y`, "trailing"},
 		{"json trailing doc", `{"name":"x","scenario":"fig7-dapes"}{"again":1}`, "trailing"},
+		{"quoted fault number", `name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[faults]\ncrash_frac = \"0.3\"", "crash_frac"},
+		{"unquoted fault duration", `name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[faults]\ncrash_from = 90", "crash_from"},
+		{"unknown fault key", `name = "x"` + "\n" + `scenario = "urban-grid-chaos"` + "\n\n[faults]\ntilt = 1", "faults.tilt"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))

@@ -199,13 +199,17 @@ func TestTrajectoryRejectsDuplicateIssues(t *testing.T) {
 }
 
 // TestCommittedTrajectoryIsClean pins the acceptance criterion on the real
-// artifacts: the checked-in BENCH_4 -> BENCH_7 trajectory renders and no
-// gated metric regressed past its threshold (BENCH_7's documented
+// artifacts: every checked-in BENCH_*.json renders into one trajectory and
+// no gated metric regressed past its threshold (BENCH_7's documented
 // rebaselines — the frame-start cross-stripe delivery change — count as
 // baseline resets, not regressions).
 func TestCommittedTrajectoryIsClean(t *testing.T) {
 	t.Parallel()
-	snaps, err := LoadTrajectory("../../BENCH_4.json", "../../BENCH_5.json", "../../BENCH_6.json", "../../BENCH_7.json")
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) < 5 {
+		t.Fatalf("committed snapshots: %v (err %v)", paths, err)
+	}
+	snaps, err := LoadTrajectory(paths...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestCommittedTrajectoryIsClean(t *testing.T) {
 	if err := experiment.EmitTables(&buf, experiment.FormatText, tables...); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"BENCH_4", "BENCH_7", "urban-grid-xl", "improved", "shard/urban-metro-trial", "rebaselined"} {
+	for _, want := range []string{"BENCH_4", "BENCH_8", "urban-grid-xl", "improved", "shard/urban-metro-trial", "fault/urban-grid-chaos-trial", "rebaselined"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("committed-trajectory report missing %q:\n%s", want, buf.String())
 		}
