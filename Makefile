@@ -58,7 +58,7 @@ bench-nfd:
 # shard-scaling section (sequential vs 2 vs 4 stripes wall-clock plus the
 # 50k-node urban-metro trial), and the informational fault section (one
 # urban-grid-chaos trial pricing the crash/restart hardening), as stable
-# JSON. BENCH_8.json is the checked-in perf-trajectory entry for the
+# JSON; the schema lives in internal/perf. BENCH_8.json is the checked-in perf-trajectory entry for the
 # fault-injection PR (BENCH_7.json the persistent-worker/window-batching
 # PR's, BENCH_6.json the space-partitioned kernel's, BENCH_5.json the
 # timer wheel's, BENCH_4.json the zero-copy wire path's); regenerate it
@@ -69,12 +69,10 @@ bench-json:
 	$(GO) run ./cmd/bench-snapshot -issue 8 -o BENCH_8.json
 	@cat BENCH_8.json
 
-# The perf gate CI runs: re-measures and FAILS if the hardware-independent
-# alloc numbers (wire and kernel allocs/op exactly — Timer.Reset is pinned
-# at 0 — phy +2 slack, scenario totals and shard-trial allocs/op +50%)
-# regressed against the committed BENCH_8.json. Times never gate — they
-# move with hardware; so does the whole fault section, which is
-# informational by design.
+# The perf gate CI runs: re-measures and FAILS if a hardware-independent
+# alloc number regressed against the committed BENCH_8.json, under the
+# per-section rule table in internal/perf. It also fails if a dense
+# scenario completes no download.
 bench-check:
 	$(GO) run ./cmd/bench-snapshot -issue 8 -check BENCH_8.json
 
@@ -116,8 +114,8 @@ chaos-smoke:
 
 # The perf-trajectory report: load every committed BENCH_*.json snapshot,
 # render the per-metric series across PRs, and fail if any gated metric
-# (wire/kernel allocs exact, phy +2 slack, scenario allocs +50%) breached
-# between consecutive snapshots.
+# breached between consecutive snapshots, under the same internal/perf
+# rule table bench-check applies.
 plan-report:
 	$(GO) run ./cmd/dapes-plan report -fail-on-breach
 

@@ -1,9 +1,9 @@
 // Command bench-snapshot emits a machine-readable performance snapshot of
 // the hot paths this repo optimizes, for the perf-trajectory files checked
-// in at the repo root (BENCH_<n>.json) and regenerated by `make bench-json`
-// in CI. Unlike `go test -bench` output, the snapshot is stable JSON:
-// downstream tooling can diff allocs/op and scenario download times across
-// PRs without scraping benchmark logs.
+// in at the repo root (BENCH_<n>.json, written with `-issue <n> -o`) and
+// re-measured by `make bench-check` in CI. Unlike `go test -bench` output,
+// the snapshot is stable JSON: downstream tooling can diff allocs/op and
+// scenario download times across PRs without scraping benchmark logs.
 //
 // The snapshot's sections:
 //
@@ -14,20 +14,19 @@
 //     churn mix on both queue backends (old heap vs new wheel) and the
 //     Timer.Reset steady state, whose 0 allocs/op is a pinned contract
 //   - scenarios: download time, transmissions, and total allocations for
-//     the dense urban-grid scenarios at a small fixed scale
+//     the dense urban-grid scenarios at a small fixed scale; each must
+//     complete at least one download
 //   - shard: the shard-scaling section — wall-clock of one dense trial on
-//     one stripe (the sequential simulation) versus 2 and 4 stripes, plus the headline urban-metro trial (50k nodes, 4 stripes)
-//     at the plan scale of plans/urban-metro.toml. Times are informational
-//     (they move with hardware and cores); the section's allocs/op gate at
-//     a relative +50% like the dense scenarios.
+//     one stripe (the sequential simulation) versus 2 and 4 stripes, plus
+//     the headline urban-metro trial (50k nodes, 4 stripes) at the plan
+//     scale of plans/urban-metro.toml
 //   - fault: one urban-grid-chaos trial — crashes, cold restarts, and
 //     Gilbert-Elliott loss through internal/fault — pricing what the
-//     hardening costs on top of the clean urban-grid scenario above it.
-//     Purely informational: neither bench-check nor the trajectory report
-//     gates it.
+//     hardening costs on top of the clean urban-grid scenario above it
 //
-// Numbers move with hardware; the trajectory tracks allocs/op (which do
-// not) and relative regressions.
+// The schema and the per-section gate rules `-check` applies live in
+// internal/perf. Numbers move with hardware; the gates track allocation
+// counts (which do not) and relative regressions.
 package main
 
 import (
@@ -45,63 +44,14 @@ import (
 	"dapes/internal/experiment"
 	"dapes/internal/geo"
 	"dapes/internal/ndn"
+	"dapes/internal/perf"
 	"dapes/internal/phy"
 	"dapes/internal/sim"
 )
 
-// Bench is one measured entry.
-type Bench struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// ScenarioResult is one dense-scenario run.
-type ScenarioResult struct {
-	Name            string  `json:"name"`
-	DownloadTime90S float64 `json:"download_time_90_s"`
-	Transmissions90 float64 `json:"transmissions_90"`
-	// Allocs is the total heap allocation count for the whole trial set —
-	// the O(senders x receivers) encode/parse traffic the zero-copy wire
-	// path removed shows up here first.
-	Allocs uint64 `json:"allocs"`
-	Bytes  uint64 `json:"alloc_bytes"`
-}
-
-// Snapshot is the emitted document.
-type Snapshot struct {
-	Issue     int    `json:"issue"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// NumCPU and GOMAXPROCS record the machine the snapshot was measured
-	// on; every time in it is relative to them. Absent (zero) in snapshots
-	// written before they were recorded.
-	NumCPU     int              `json:"num_cpu,omitempty"`
-	GOMAXPROCS int              `json:"gomaxprocs,omitempty"`
-	Wire       []Bench          `json:"wire"`
-	Phy        []Bench          `json:"phy"`
-	Kernel     []Bench          `json:"kernel"`
-	Scenarios  []ScenarioResult `json:"scenarios"`
-	Shard      []Bench          `json:"shard,omitempty"`
-	// Fault is informational only (chaos trials carry deliberate extra work
-	// — re-fetches after cold restarts — that no alloc gate should pin).
-	Fault []Bench `json:"fault,omitempty"`
-	// Rebaselined lists gated trajectory metrics ("<name> (<unit>)") whose
-	// values this snapshot moved on purpose — a documented behavior change,
-	// not a regression. The dapes-plan trajectory report skips the incoming
-	// gate for these and resumes gating from this snapshot's value; the
-	// bench-check gate (re-measure vs this committed file) is unaffected.
-	// Stamped by -rebase / -rebase-note (see the Makefile's bench-json
-	// target for the current list and rationale).
-	Rebaselined    []string `json:"rebaselined,omitempty"`
-	RebaselineNote string   `json:"rebaseline_note,omitempty"`
-}
-
-func bench(name string, fn func(b *testing.B)) Bench {
+func bench(name string, fn func(b *testing.B)) perf.Bench {
 	r := testing.Benchmark(fn)
-	return Bench{
+	return perf.Bench{
 		Name:        name,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp: r.AllocsPerOp(),
@@ -112,13 +62,13 @@ func bench(name string, fn func(b *testing.B)) Bench {
 // wireBenches measures the codec path with the public API: a stored packet
 // answering repeatedly (cached encode), one broadcast decoded once, and the
 // k-th receiver's memo hit.
-func wireBenches() []Bench {
+func wireBenches() []perf.Bench {
 	mk := func() *ndn.Data {
 		d := &ndn.Data{Name: ndn.ParseName("/field-report/image-000/17"), Content: make([]byte, 1000)}
 		d.SignDigest()
 		return d
 	}
-	out := []Bench{
+	out := []perf.Bench{
 		bench("wire/encode-cached", func(b *testing.B) {
 			d := mk()
 			d.Encode()
@@ -154,9 +104,9 @@ func wireBenches() []Bench {
 
 // phyBenches replays the BenchmarkBroadcastDense world (constant density,
 // grid index) at N=1000: one broadcast end to end including delivery.
-func phyBenches() []Bench {
+func phyBenches() []perf.Bench {
 	const n = 1000
-	return []Bench{
+	return []perf.Bench{
 		bench("phy/broadcast-dense/grid/N=1000", func(b *testing.B) {
 			k := sim.NewKernel(42)
 			m := phy.NewMedium(k, phy.Config{Range: 60, Index: phy.IndexGrid})
@@ -186,7 +136,7 @@ func phyBenches() []Bench {
 // churn that dominates every protocol layer's timer workload, run on the
 // reference heap and the timer wheel (the old-vs-new comparison), plus the
 // steady-state Timer.Reset whose 0 allocs/op the perf gate pins.
-func kernelBenches() []Bench {
+func kernelBenches() []perf.Bench {
 	const pending = 100_000
 	churn := func(kind sim.QueueKind) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -207,7 +157,7 @@ func kernelBenches() []Bench {
 			}
 		}
 	}
-	return []Bench{
+	return []perf.Bench{
 		bench("kernel/churn/heap/pending=100000", churn(sim.QueueHeap)),
 		bench("kernel/churn/wheel/pending=100000", churn(sim.QueueWheel)),
 		bench("kernel/timer-reset", func(b *testing.B) {
@@ -232,14 +182,12 @@ func kernelBenches() []Bench {
 // and on 2 and 4 stripes, plus the headline metro trial at the exact
 // [scale] of plans/urban-metro.toml (50,003 nodes, 4 density-balanced
 // stripes). Every entry runs under the scenario's relaxed lookahead.
-// Wall-clock is recorded for the speedup trend; allocs/op gate at +50% in
-// bench-check.
-func shardBenches() []Bench {
+// Wall-clock is recorded for the speedup trend.
+func shardBenches() []perf.Bench {
 	const wifiRange = 60.0
 	sc, ok := experiment.Lookup("urban-metro")
 	if !ok {
-		fmt.Fprintln(os.Stderr, "bench-snapshot: scenario urban-metro not registered")
-		os.Exit(1)
+		fatal("scenario urban-metro not registered")
 	}
 	trial := func(s experiment.Scale, shards int) func(b *testing.B) {
 		s.Shards = shards
@@ -273,7 +221,7 @@ func shardBenches() []Bench {
 	metro.Intermediates = 80
 	metro.BaseSeed = 11
 
-	return []Bench{
+	return []perf.Bench{
 		bench("shard/urban-dense-trial/sequential", trial(dense, 1)),
 		bench("shard/urban-dense-trial/shards=2", trial(dense, 2)),
 		bench("shard/urban-dense-trial/shards=4", trial(dense, 4)),
@@ -283,16 +231,14 @@ func shardBenches() []Bench {
 
 // faultBenches measures the fault engine end to end: one urban-grid-chaos
 // trial at the snapshot scale, default chaos plan (a third of the eligible
-// nodes crash and cold-restart over a bursty GE channel). Informational —
-// see the Snapshot.Fault doc.
-func faultBenches() []Bench {
+// nodes crash and cold-restart over a bursty GE channel).
+func faultBenches() []perf.Bench {
 	s := snapshotScale()
 	sc, ok := experiment.Lookup("urban-grid-chaos")
 	if !ok {
-		fmt.Fprintln(os.Stderr, "bench-snapshot: scenario urban-grid-chaos not registered")
-		os.Exit(1)
+		fatal("scenario urban-grid-chaos not registered")
 	}
-	return []Bench{
+	return []perf.Bench{
 		bench("fault/urban-grid-chaos-trial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sc.Run(s, 60, 0); err != nil {
@@ -323,20 +269,31 @@ func snapshotScale() experiment.Scale {
 	}
 }
 
-func runScenario(name string) (ScenarioResult, error) {
+// runScenario measures one dense scenario at the snapshot scale. A run
+// that completes no download is an error: its numbers would price a
+// workload that does no DAPES work.
+func runScenario(name string) (perf.Scenario, error) {
 	sc, ok := experiment.Lookup(name)
 	if !ok {
-		return ScenarioResult{}, fmt.Errorf("scenario %q not registered", name)
+		return perf.Scenario{}, fmt.Errorf("scenario %q not registered", name)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	res, err := experiment.Runner{Workers: 1}.Run(sc, snapshotScale(), 60)
 	if err != nil {
-		return ScenarioResult{}, err
+		return perf.Scenario{}, err
 	}
 	runtime.ReadMemStats(&after)
-	return ScenarioResult{
+	completed, downloaders := 0, 0
+	for _, tr := range res.Trials {
+		completed += tr.Completed
+		downloaders += tr.Downloaders
+	}
+	if completed == 0 {
+		return perf.Scenario{}, fmt.Errorf("scenario %s completed 0 of %d downloads", name, downloaders)
+	}
+	return perf.Scenario{
 		Name:            name,
 		DownloadTime90S: res.DownloadTime90.Seconds(),
 		Transmissions90: res.Transmissions90,
@@ -345,83 +302,30 @@ func runScenario(name string) (ScenarioResult, error) {
 	}, nil
 }
 
-// checkAgainst compares the freshly measured snapshot to a committed one and
-// returns one message per regression. Only hardware-independent numbers
-// gate: allocs/op of the wire and kernel micro-benches must not grow at all
-// (they are exact, deterministic counts — Timer.Reset in particular is
-// pinned at 0), the phy broadcast bench gets +2 of slack (pool warm-up
-// amortizes differently across b.N), and a scenario's total allocation
-// count may drift up to 50% before it counts as a regression (runtime
-// background allocation adds noise). The shard trials gate their allocs/op
-// the same relative way — whole-trial allocation counts, not exact
-// per-path counts. Times never gate.
-func checkAgainst(prev, cur Snapshot) []string {
-	var msgs []string
-	benchByName := func(list []Bench) map[string]Bench {
-		m := make(map[string]Bench, len(list))
-		for _, b := range list {
-			m[b.Name] = b
-		}
-		return m
-	}
-	sections := []struct {
-		prev, cur []Bench
-		slack     int64
-	}{
-		{prev.Wire, cur.Wire, 0},
-		{prev.Phy, cur.Phy, 2},
-		{prev.Kernel, cur.Kernel, 0},
-	}
-	for _, sec := range sections {
-		prevByName := benchByName(sec.prev)
-		for _, b := range sec.cur {
-			p, ok := prevByName[b.Name]
-			if !ok {
-				continue // new bench: nothing to regress against
-			}
-			if b.AllocsPerOp > p.AllocsPerOp+sec.slack {
-				msgs = append(msgs, fmt.Sprintf("%s: %d allocs/op, committed snapshot has %d",
-					b.Name, b.AllocsPerOp, p.AllocsPerOp))
-			}
-		}
-	}
-	prevShard := benchByName(prev.Shard)
-	for _, b := range cur.Shard {
-		p, ok := prevShard[b.Name]
-		if !ok {
-			continue
-		}
-		if limit := p.AllocsPerOp + p.AllocsPerOp/2; b.AllocsPerOp > limit {
-			msgs = append(msgs, fmt.Sprintf("%s: %d allocs/op, committed snapshot has %d (limit %d)",
-				b.Name, b.AllocsPerOp, p.AllocsPerOp, limit))
-		}
-	}
-	prevScen := make(map[string]ScenarioResult, len(prev.Scenarios))
-	for _, s := range prev.Scenarios {
-		prevScen[s.Name] = s
-	}
-	for _, s := range cur.Scenarios {
-		p, ok := prevScen[s.Name]
-		if !ok {
-			continue
-		}
-		if limit := p.Allocs + p.Allocs/2; s.Allocs > limit {
-			msgs = append(msgs, fmt.Sprintf("scenario %s: %d total allocs, committed snapshot has %d (limit %d)",
-				s.Name, s.Allocs, p.Allocs, limit))
-		}
-	}
-	return msgs
+// fatal prints its arguments after the command name and exits 1.
+func fatal(args ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"bench-snapshot:"}, args...)...)
+	os.Exit(1)
 }
 
 func main() {
 	out := flag.String("o", "", "write the snapshot to this file (default stdout)")
-	issue := flag.Int("issue", 7, "issue number recorded in the snapshot")
+	issue := flag.Int("issue", 0, "issue number recorded in the snapshot (required unless -check)")
 	check := flag.String("check", "", "re-measure and fail if alloc numbers regressed vs this committed snapshot (no file is written)")
 	rebase := flag.String("rebase", "", "comma-separated gated metrics ('name (unit)') this snapshot intentionally moves; the trajectory report treats them as baseline resets")
 	rebaseNote := flag.String("rebase-note", "", "one-line rationale recorded alongside -rebase")
 	flag.Parse()
+	var committed []perf.Snapshot
+	if *check != "" {
+		var err error
+		if committed, err = perf.LoadTrajectory(*check); err != nil {
+			fatal(err)
+		}
+	} else if *issue <= 0 {
+		fatal("-issue is required to write a snapshot (each BENCH_<n>.json claims its own issue)")
+	}
 
-	snap := Snapshot{
+	snap := perf.Snapshot{
 		Issue:          *issue,
 		GoVersion:      runtime.Version(),
 		GOOS:           runtime.GOOS,
@@ -445,26 +349,16 @@ func main() {
 	for _, name := range []string{"urban-grid", "urban-grid-xl", "urban-metro"} {
 		res, err := runScenario(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-snapshot:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		snap.Scenarios = append(snap.Scenarios, res)
 	}
 
 	if *check != "" {
-		raw, err := os.ReadFile(*check)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-snapshot:", err)
-			os.Exit(1)
-		}
-		var prev Snapshot
-		if err := json.Unmarshal(raw, &prev); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-snapshot: parse %s: %v\n", *check, err)
-			os.Exit(1)
-		}
-		if msgs := checkAgainst(prev, snap); len(msgs) > 0 {
-			for _, m := range msgs {
-				fmt.Fprintln(os.Stderr, "bench-snapshot: REGRESSION:", m)
+		if brs := perf.Check(committed[0], snap); len(brs) > 0 {
+			for _, b := range brs {
+				fmt.Fprintf(os.Stderr, "bench-snapshot: REGRESSION: %s: %.0f, committed snapshot has %.0f (%s)\n",
+					b.Metric, b.Cur, b.Prev, b.Rule)
 			}
 			os.Exit(1)
 		}
@@ -474,8 +368,7 @@ func main() {
 
 	enc, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench-snapshot:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
@@ -483,7 +376,6 @@ func main() {
 		return
 	}
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bench-snapshot:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 }

@@ -4,7 +4,8 @@
 // across a worker pool, per-cell results stream as JSON-lines, and a run
 // report (grid table + best/worst cells per optimize target) follows.
 // `dapes-plan report` loads the committed BENCH_*.json perf trajectory and
-// renders per-metric series, deltas, and threshold breaches.
+// renders per-metric series, deltas, and threshold breaches under the
+// gate rules of internal/perf.
 //
 // Determinism contract: a plan run's output is byte-identical for any
 // -workers value — cell c's trials seed from TrialSeed(CellSeed(seed, c),
@@ -20,6 +21,7 @@ import (
 	"sort"
 
 	"dapes/internal/experiment"
+	"dapes/internal/perf"
 	"dapes/internal/plan"
 )
 
@@ -139,11 +141,11 @@ func cmdReport(args []string) error {
 	}
 	defer closeOut()
 
-	snaps, err := plan.LoadTrajectory(paths...)
+	snaps, err := perf.LoadTrajectory(paths...)
 	if err != nil {
 		return err
 	}
-	tables, brs, err := plan.TrajectoryReport(snaps)
+	tables, brs, err := perf.TrajectoryReport(snaps)
 	if err != nil {
 		return err
 	}

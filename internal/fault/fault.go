@@ -83,33 +83,25 @@ func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"crash_frac", p.CrashFrac},
-		{"jam_x", p.JamX}, {"jam_y", p.JamY}, {"jam_radius", p.JamRadius},
-		{"loss_p_good", p.PGood}, {"loss_p_bad", p.PBad},
-		{"loss_good_to_bad", p.GoodToBad}, {"loss_bad_to_good", p.BadToGood},
-	} {
-		if !finite(f.v) {
-			return fmt.Errorf("fault: %s must be finite, got %v", f.name, f.v)
+	for _, k := range keys {
+		if v, ok := k.field(p).(*float64); ok && !finite(*v) {
+			return fmt.Errorf("fault: %s must be finite, got %v", k.name, *v)
 		}
 	}
 	if p.CrashFrac < 0 || p.CrashFrac > 1 {
-		return fmt.Errorf("fault: crash_frac must be in [0,1], got %v", p.CrashFrac)
+		return fmt.Errorf("fault: %s must be in [0,1], got %v", p.key(&p.CrashFrac), p.CrashFrac)
 	}
 	if p.CrashFrom < 0 || p.CrashUntil < p.CrashFrom {
 		return fmt.Errorf("fault: crash window [%v, %v) is invalid", p.CrashFrom, p.CrashUntil)
 	}
 	if p.HasCrashes() && p.CrashUntil == 0 {
-		return fmt.Errorf("fault: crash_frac %v needs a crash window (crash_until > 0)", p.CrashFrac)
+		return fmt.Errorf("fault: %s %v needs a crash window (%s > 0)", p.key(&p.CrashFrac), p.CrashFrac, p.key(&p.CrashUntil))
 	}
 	if p.RestartMin < 0 || p.RestartMax < 0 || (p.RestartMax > 0 && p.RestartMax < p.RestartMin) {
 		return fmt.Errorf("fault: restart window [%v, %v] is invalid", p.RestartMin, p.RestartMax)
 	}
 	if p.JamRadius < 0 {
-		return fmt.Errorf("fault: jam_radius must be >= 0, got %v", p.JamRadius)
+		return fmt.Errorf("fault: %s must be >= 0, got %v", p.key(&p.JamRadius), p.JamRadius)
 	}
 	if p.JamFrom < 0 || p.JamUntil < p.JamFrom {
 		return fmt.Errorf("fault: jam window [%v, %v) is invalid", p.JamFrom, p.JamUntil)
@@ -117,19 +109,13 @@ func (p *Plan) Validate() error {
 	switch p.LossModel {
 	case "", LossIID:
 	case LossGilbertElliott:
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{
-			{"loss_p_good", p.PGood}, {"loss_p_bad", p.PBad},
-			{"loss_good_to_bad", p.GoodToBad}, {"loss_bad_to_good", p.BadToGood},
-		} {
-			if f.v < 0 || f.v > 1 {
-				return fmt.Errorf("fault: %s must be a probability in [0,1], got %v", f.name, f.v)
+		for _, f := range []*float64{&p.PGood, &p.PBad, &p.GoodToBad, &p.BadToGood} {
+			if *f < 0 || *f > 1 {
+				return fmt.Errorf("fault: %s must be a probability in [0,1], got %v", p.key(f), *f)
 			}
 		}
 	default:
-		return fmt.Errorf("fault: unknown loss_model %q (want %q or %q)", p.LossModel, LossIID, LossGilbertElliott)
+		return fmt.Errorf("fault: unknown %s %q (want %q or %q)", p.key(&p.LossModel), p.LossModel, LossIID, LossGilbertElliott)
 	}
 	return nil
 }

@@ -3,25 +3,89 @@ package fault
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// This file parses the standalone fault-plan format `dapes-sim -faults`
-// accepts: flat `key = value` lines using exactly the key names of a plan
-// file's [faults] section (internal/plan decodes that section itself, with
-// the same keys, into the same Plan). '#' starts a comment, blank lines
+// This file holds the one table of fault-plan keys and parses the
+// standalone fault-plan format `dapes-sim -faults` accepts: flat
+// `key = value` lines using exactly the key names of a plan file's
+// [faults] section (internal/plan decodes that section through the same
+// table, Decode, into the same Plan). '#' starts a comment, blank lines
 // are skipped, and an optional `[faults]` header line is accepted so a
 // section can be copy-pasted out of a plan file verbatim. Durations are
 // quoted Go duration strings ("90s"); everything else is a number.
 // Parse returns an error — never panics — on malformed input
 // (FuzzFaultPlan pins that against a committed corpus).
 
+// keys maps each fault-plan key to its Plan field. The field's type is
+// the key's kind: *float64 takes a number, *time.Duration a Go duration
+// ("90s"), *string a string. Parse and internal/plan's [faults] decoder
+// both walk the table in this order, so the first error either reports
+// is deterministic.
+var keys = []struct {
+	name  string
+	field func(p *Plan) any
+}{
+	{"crash_frac", func(p *Plan) any { return &p.CrashFrac }},
+	{"crash_from", func(p *Plan) any { return &p.CrashFrom }},
+	{"crash_until", func(p *Plan) any { return &p.CrashUntil }},
+	{"restart_min", func(p *Plan) any { return &p.RestartMin }},
+	{"restart_max", func(p *Plan) any { return &p.RestartMax }},
+	{"jam_x", func(p *Plan) any { return &p.JamX }},
+	{"jam_y", func(p *Plan) any { return &p.JamY }},
+	{"jam_radius", func(p *Plan) any { return &p.JamRadius }},
+	{"jam_from", func(p *Plan) any { return &p.JamFrom }},
+	{"jam_until", func(p *Plan) any { return &p.JamUntil }},
+	{"loss_model", func(p *Plan) any { return &p.LossModel }},
+	{"loss_p_good", func(p *Plan) any { return &p.PGood }},
+	{"loss_p_bad", func(p *Plan) any { return &p.PBad }},
+	{"loss_good_to_bad", func(p *Plan) any { return &p.GoodToBad }},
+	{"loss_bad_to_good", func(p *Plan) any { return &p.BadToGood }},
+}
+
+// Keys returns the fault-plan key names in table order.
+func Keys() []string {
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		names[i] = k.name
+	}
+	return names
+}
+
+// Decode builds a Plan by walking the key table in order: for each key it
+// calls set with the key name and a pointer to the key's field — a
+// *float64, *time.Duration or *string — for set to fill from its own
+// source, or leave at zero when the key is absent. The caller keeps the
+// first error it meets; Decode does not validate the plan.
+func Decode(set func(key string, field any)) *Plan {
+	p := &Plan{}
+	for _, k := range keys {
+		set(k.name, k.field(p))
+	}
+	return p
+}
+
+// key returns the name of the key whose field f points to in p.
+func (p *Plan) key(f any) string {
+	for _, k := range keys {
+		if k.field(p) == f {
+			return k.name
+		}
+	}
+	return ""
+}
+
 // Parse decodes a flat fault plan and validates it.
 func Parse(src []byte) (*Plan, error) {
-	p := &Plan{}
-	seen := make(map[string]bool)
+	type value struct {
+		line int
+		text string
+	}
+	known := Keys()
+	vals := make(map[string]value)
 	for ln, line := range strings.Split(string(src), "\n") {
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
@@ -35,13 +99,24 @@ func Parse(src []byte) (*Plan, error) {
 			return nil, fmt.Errorf("fault: line %d: want `key = value`, got %q", ln+1, line)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if seen[key] {
+		if !slices.Contains(known, key) {
+			return nil, fmt.Errorf("fault: line %d: unknown key %q", ln+1, key)
+		}
+		if _, dup := vals[key]; dup {
 			return nil, fmt.Errorf("fault: line %d: duplicate key %q", ln+1, key)
 		}
-		seen[key] = true
-		if err := p.set(key, val); err != nil {
-			return nil, fmt.Errorf("fault: line %d: %w", ln+1, err)
+		vals[key] = value{ln + 1, val}
+	}
+	var err error
+	p := Decode(func(key string, field any) {
+		if v, ok := vals[key]; ok && err == nil {
+			if e := setText(field, v.text); e != nil {
+				err = fmt.Errorf("fault: line %d: %s: %w", v.line, key, e)
+			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -58,63 +133,28 @@ func ParseFile(path string) (*Plan, error) {
 	return Parse(raw)
 }
 
-func (p *Plan) set(key, val string) error {
-	num := func(dst *float64) error {
+// setText parses one value of the flat format into field. Durations and
+// strings may be quoted.
+func setText(field any, val string) error {
+	unquoted := val
+	if len(val) >= 2 && val[0] == '"' && val[len(val)-1] == '"' {
+		unquoted = val[1 : len(val)-1]
+	}
+	switch dst := field.(type) {
+	case *float64:
 		v, err := strconv.ParseFloat(val, 64)
 		if err != nil {
-			return fmt.Errorf("%s: want a number, got %q", key, val)
+			return fmt.Errorf("want a number, got %q", val)
 		}
 		*dst = v
-		return nil
-	}
-	dur := func(dst *time.Duration) error {
-		s := val
-		if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-			s = s[1 : len(s)-1]
-		}
-		v, err := time.ParseDuration(s)
+	case *time.Duration:
+		v, err := time.ParseDuration(unquoted)
 		if err != nil {
-			return fmt.Errorf("%s: want a duration like \"90s\", got %q", key, val)
+			return fmt.Errorf("want a duration like \"90s\", got %q", val)
 		}
 		*dst = v
-		return nil
+	case *string:
+		*dst = unquoted
 	}
-	switch key {
-	case "crash_frac":
-		return num(&p.CrashFrac)
-	case "crash_from":
-		return dur(&p.CrashFrom)
-	case "crash_until":
-		return dur(&p.CrashUntil)
-	case "restart_min":
-		return dur(&p.RestartMin)
-	case "restart_max":
-		return dur(&p.RestartMax)
-	case "jam_x":
-		return num(&p.JamX)
-	case "jam_y":
-		return num(&p.JamY)
-	case "jam_radius":
-		return num(&p.JamRadius)
-	case "jam_from":
-		return dur(&p.JamFrom)
-	case "jam_until":
-		return dur(&p.JamUntil)
-	case "loss_model":
-		s := val
-		if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-			s = s[1 : len(s)-1]
-		}
-		p.LossModel = s
-		return nil
-	case "loss_p_good":
-		return num(&p.PGood)
-	case "loss_p_bad":
-		return num(&p.PBad)
-	case "loss_good_to_bad":
-		return num(&p.GoodToBad)
-	case "loss_bad_to_good":
-		return num(&p.BadToGood)
-	}
-	return fmt.Errorf("unknown key %q", key)
+	return nil
 }

@@ -1,75 +1,87 @@
-package plan
+// Package perf is the one home of the perf-snapshot schema — the
+// BENCH_<n>.json documents cmd/bench-snapshot writes — and of the gate
+// rules its two readers apply: `bench-snapshot -check` (a fresh
+// measurement against the committed snapshot, Check) and `dapes-plan
+// report` (the committed trajectory, snapshot after snapshot,
+// TrajectoryReport).
+//
+// The rule table, section by section (Snapshot.metrics):
+//
+//   - wire and kernel allocs/op must not grow at all: they are exact,
+//     deterministic counts (Timer.Reset in particular is pinned at 0);
+//   - phy allocs/op get +2 of slack: pool warm-up amortizes differently
+//     across b.N;
+//   - scenario total allocs and shard allocs/op may drift up to +50%:
+//     whole-trial counts carry runtime background allocation;
+//   - the fault section is informational: chaos trials re-fetch after
+//     cold restarts by design;
+//   - times (ns/op, download time) and transmissions never gate: they
+//     move with hardware.
+package perf
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"dapes/internal/experiment"
 )
 
-// This file turns the repo's perf trajectory — the BENCH_<n>.json
-// snapshots cmd/bench-snapshot freezes per PR — into a first-class
-// artifact: a loaded, ordered series per metric with deltas and threshold
-// breaches, rendered through the shared emit layer. The thresholds mirror
-// the bench-check CI gate exactly: wire and kernel allocs/op may not grow
-// at all, the phy broadcast bench gets +2 of slack, a scenario's total
-// allocation count and a shard trial's allocs/op may drift up to +50%,
-// and times never gate (they move with hardware).
-
-// BenchPoint mirrors one bench entry of a BENCH_*.json snapshot.
-type BenchPoint struct {
+// Bench is one measured micro-bench or trial.
+type Bench struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// ScenarioPoint mirrors one dense-scenario entry of a snapshot.
-type ScenarioPoint struct {
+// Scenario is one dense-scenario run.
+type Scenario struct {
 	Name            string  `json:"name"`
 	DownloadTime90S float64 `json:"download_time_90_s"`
 	Transmissions90 float64 `json:"transmissions_90"`
-	Allocs          uint64  `json:"allocs"`
-	Bytes           uint64  `json:"alloc_bytes"`
+	// Allocs is the total heap allocation count for the whole trial set —
+	// the O(senders x receivers) encode/parse traffic the zero-copy wire
+	// path removed shows up here first.
+	Allocs uint64 `json:"allocs"`
+	Bytes  uint64 `json:"alloc_bytes"`
 }
 
-// Snapshot mirrors one BENCH_<n>.json document.
+// Snapshot is one BENCH_<n>.json document.
 type Snapshot struct {
 	Issue     int    `json:"issue"`
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// NumCPU and GOMAXPROCS record the measuring machine; zero in
-	// snapshots written before they were recorded.
-	NumCPU     int             `json:"num_cpu,omitempty"`
-	GOMAXPROCS int             `json:"gomaxprocs,omitempty"`
-	Wire       []BenchPoint    `json:"wire"`
-	Phy        []BenchPoint    `json:"phy"`
-	Kernel     []BenchPoint    `json:"kernel"`
-	Scenarios  []ScenarioPoint `json:"scenarios"`
+	// NumCPU and GOMAXPROCS record the machine the snapshot was measured
+	// on; every time in it is relative to them. Absent (zero) in snapshots
+	// written before they were recorded.
+	NumCPU     int        `json:"num_cpu,omitempty"`
+	GOMAXPROCS int        `json:"gomaxprocs,omitempty"`
+	Wire       []Bench    `json:"wire"`
+	Phy        []Bench    `json:"phy"`
+	Kernel     []Bench    `json:"kernel"`
+	Scenarios  []Scenario `json:"scenarios"`
 	// Shard is the shard-scaling section (BENCH_6 onward): one dense trial
 	// on the sequential kernel versus the partitioned kernel at 2 and 4
-	// stripes, plus (BENCH_7 onward) the 50k-node urban-metro trial. Trial
-	// times move with hardware and core count and never gate; whole-trial
-	// allocs/op gate at a relative +50%, like the dense scenarios.
-	Shard []BenchPoint `json:"shard,omitempty"`
+	// stripes, plus (BENCH_7 onward) the 50k-node urban-metro trial.
+	Shard []Bench `json:"shard,omitempty"`
 	// Fault is the fault-engine section (BENCH_8 onward): one
 	// urban-grid-chaos trial pricing the crash/restart/bursty-loss
-	// hardening. Entirely informational — chaos trials re-fetch after cold
-	// restarts by design, so neither allocs nor times gate.
-	Fault []BenchPoint `json:"fault,omitempty"`
+	// hardening.
+	Fault []Bench `json:"fault,omitempty"`
 
 	// Rebaselined lists gated metrics — in the report's display form,
 	// "<name> (<unit>)" — whose values this snapshot moved on purpose: a PR
 	// changed simulation behavior under a documented contract relaxation,
 	// so the delta from the previous snapshot is a baseline reset, not a
 	// regression. The trajectory gate skips the incoming comparison for
-	// these metrics and resumes gating from this snapshot's value onward.
-	// RebaselineNote says why; both are stamped by `bench-snapshot -rebase`
-	// (see the Makefile's bench-json target for the current list).
+	// these metrics and resumes gating from this snapshot's value onward;
+	// Check ignores them. RebaselineNote says why; both are stamped by
+	// `bench-snapshot -rebase`.
 	Rebaselined    []string `json:"rebaselined,omitempty"`
 	RebaselineNote string   `json:"rebaseline_note,omitempty"`
 
@@ -77,12 +89,60 @@ type Snapshot struct {
 	Path string `json:"-"`
 }
 
+// rule is one gate: the largest value a gated metric may reach from its
+// previous value, and the rule as the report prints it.
+type rule struct {
+	text  string
+	limit func(prev float64) float64
+}
+
+func plusHalf(prev float64) float64 { return prev * 1.5 }
+
+var (
+	exact          = &rule{"allocs/op must not grow", func(prev float64) float64 { return prev }}
+	plusTwo        = &rule{"allocs/op +2 slack", func(prev float64) float64 { return prev + 2 }}
+	benchPlusHalf  = &rule{"allocs/op +50%", plusHalf}
+	scenarioAllocs = &rule{"total allocs +50%", plusHalf}
+)
+
+// metric is one value a snapshot contributes to the trajectory; gate is
+// nil for an informational metric.
+type metric struct {
+	name, unit string
+	value      float64
+	gate       *rule
+}
+
+// metrics flattens the snapshot through the rule table, in report order.
+func (s Snapshot) metrics() []metric {
+	var out []metric
+	benches := func(list []Bench, gate *rule) {
+		for _, b := range list {
+			out = append(out,
+				metric{b.Name, "allocs/op", float64(b.AllocsPerOp), gate},
+				metric{b.Name, "ns/op", b.NsPerOp, nil})
+		}
+	}
+	benches(s.Wire, exact)
+	benches(s.Phy, plusTwo)
+	benches(s.Kernel, exact)
+	for _, sc := range s.Scenarios {
+		out = append(out,
+			metric{sc.Name, "allocs", float64(sc.Allocs), scenarioAllocs},
+			metric{sc.Name, "download_s", sc.DownloadTime90S, nil},
+			metric{sc.Name, "tx_p90", sc.Transmissions90, nil})
+	}
+	benches(s.Shard, benchPlusHalf)
+	benches(s.Fault, nil)
+	return out
+}
+
 // LoadTrajectory reads snapshot files and returns them ordered by issue
 // number — the perf trajectory. Duplicate issue numbers are an error (two
 // files claiming the same PR make every delta ambiguous).
 func LoadTrajectory(paths ...string) ([]Snapshot, error) {
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("plan: no snapshot files given")
+		return nil, fmt.Errorf("perf: no snapshot files given")
 	}
 	snaps := make([]Snapshot, 0, len(paths))
 	byIssue := make(map[int]string, len(paths))
@@ -97,7 +157,7 @@ func LoadTrajectory(paths ...string) ([]Snapshot, error) {
 		}
 		s.Path = path
 		if prev, dup := byIssue[s.Issue]; dup {
-			return nil, fmt.Errorf("plan: %s and %s both claim issue %d", prev, path, s.Issue)
+			return nil, fmt.Errorf("perf: %s and %s both claim issue %d", prev, path, s.Issue)
 		}
 		byIssue[s.Issue] = path
 		snaps = append(snaps, s)
@@ -118,84 +178,39 @@ type Breach struct {
 	Rule      string  `json:"rule"`
 }
 
-// series is one metric's value at each trajectory point (NaN-free: ok
-// flags absence).
+// series is one metric's value at each trajectory point (ok flags
+// presence).
 type series struct {
-	metric string
-	unit   string
-	vals   []float64
-	ok     []bool
-	// gate computes the regression limit from the previous value; nil
-	// means the metric is informational (times).
-	gate func(prev float64) float64
-	rule string
+	metric, unit string
+	gate         *rule
+	vals         []float64
+	ok           []bool
 }
 
-// trajectorySeries flattens the snapshots into named series. Bench
-// sections contribute allocs/op (gated) and ns/op (informational);
-// scenarios contribute total allocs (gated +50%), download time, and
-// transmissions (informational).
-func trajectorySeries(snaps []Snapshot) []series {
-	type key struct{ section, name, unit string }
+func (s series) label() string { return s.metric + " (" + s.unit + ")" }
+
+// trajectory lines the snapshots' metrics up into one series per
+// (name, unit), in order of first appearance.
+func trajectory(snaps []Snapshot) []series {
+	type key struct{ name, unit string }
 	idx := map[key]int{}
 	var out []series
-
-	add := func(k key, pos int, v float64, gate func(float64) float64, rule string) {
-		i, seen := idx[k]
-		if !seen {
-			i = len(out)
-			idx[k] = i
-			out = append(out, series{
-				metric: k.name,
-				unit:   k.unit,
-				vals:   make([]float64, len(snaps)),
-				ok:     make([]bool, len(snaps)),
-				gate:   gate,
-				rule:   rule,
-			})
-		}
-		out[i].vals[pos] = v
-		out[i].ok[pos] = true
-	}
-
-	exact := func(prev float64) float64 { return prev }
-	plusTwo := func(prev float64) float64 { return prev + 2 }
-	plusHalf := func(prev float64) float64 { return prev * 1.5 }
-
 	for pos, snap := range snaps {
-		sections := []struct {
-			benches []BenchPoint
-			gate    func(float64) float64
-			rule    string
-		}{
-			{snap.Wire, exact, "allocs/op must not grow"},
-			{snap.Phy, plusTwo, "allocs/op +2 slack"},
-			{snap.Kernel, exact, "allocs/op must not grow"},
-		}
-		for _, sec := range sections {
-			for _, b := range sec.benches {
-				add(key{"bench", b.Name, "allocs/op"}, pos, float64(b.AllocsPerOp), sec.gate, sec.rule)
-				add(key{"bench", b.Name, "ns/op"}, pos, b.NsPerOp, nil, "")
+		for _, m := range snap.metrics() {
+			k := key{m.name, m.unit}
+			i, seen := idx[k]
+			if !seen {
+				i = len(out)
+				idx[k] = i
+				out = append(out, series{
+					metric: m.name,
+					unit:   m.unit,
+					gate:   m.gate,
+					vals:   make([]float64, len(snaps)),
+					ok:     make([]bool, len(snaps)),
+				})
 			}
-		}
-		for _, sc := range snap.Scenarios {
-			add(key{"scenario", sc.Name, "allocs"}, pos, float64(sc.Allocs), plusHalf, "total allocs +50%")
-			add(key{"scenario", sc.Name, "download_s"}, pos, sc.DownloadTime90S, nil, "")
-			add(key{"scenario", sc.Name, "tx_p90"}, pos, sc.Transmissions90, nil, "")
-		}
-		// Shard scaling: trial wall-clock is informational (it moves with
-		// hardware and cores); whole-trial allocs/op gate relatively, like
-		// the dense scenarios, mirroring bench-snapshot's -check rule.
-		for _, b := range snap.Shard {
-			add(key{"bench", b.Name, "allocs/op"}, pos, float64(b.AllocsPerOp), plusHalf, "allocs/op +50%")
-			add(key{"bench", b.Name, "ns/op"}, pos, b.NsPerOp, nil, "")
-		}
-		// Fault injection: entirely informational (see Snapshot.Fault) —
-		// the chaos trial's work load is a deliberate design choice, not a
-		// perf surface.
-		for _, b := range snap.Fault {
-			add(key{"bench", b.Name, "allocs/op"}, pos, float64(b.AllocsPerOp), nil, "")
-			add(key{"bench", b.Name, "ns/op"}, pos, b.NsPerOp, nil, "")
+			out[i].vals[pos], out[i].ok[pos] = m.value, true
 		}
 	}
 	return out
@@ -206,37 +221,26 @@ func trajectorySeries(snaps []Snapshot) []series {
 // comparison (the intentional move) but still becomes the baseline for the
 // next point — gating resumes immediately after the reset.
 func breaches(snaps []Snapshot, all []series) []Breach {
-	rebased := make([]map[string]bool, len(snaps))
-	for i, snap := range snaps {
-		if len(snap.Rebaselined) == 0 {
-			continue
-		}
-		rebased[i] = make(map[string]bool, len(snap.Rebaselined))
-		for _, m := range snap.Rebaselined {
-			rebased[i][m] = true
-		}
-	}
 	var out []Breach
 	for _, s := range all {
 		if s.gate == nil {
 			continue
 		}
 		last := -1 // previous present point
-		for i := range snaps {
+		for i, snap := range snaps {
 			if !s.ok[i] {
 				continue
 			}
-			if last >= 0 && !rebased[i][s.metric+" ("+s.unit+")"] {
-				limit := s.gate(s.vals[last])
-				if s.vals[i] > limit {
+			if last >= 0 && !slices.Contains(snap.Rebaselined, s.label()) {
+				if limit := s.gate.limit(s.vals[last]); s.vals[i] > limit {
 					out = append(out, Breach{
-						Metric:    s.metric + " (" + s.unit + ")",
+						Metric:    s.label(),
 						FromIssue: snaps[last].Issue,
-						ToIssue:   snaps[i].Issue,
+						ToIssue:   snap.Issue,
 						Prev:      s.vals[last],
 						Cur:       s.vals[i],
 						Limit:     limit,
-						Rule:      s.rule,
+						Rule:      s.gate.text,
 					})
 				}
 			}
@@ -246,6 +250,16 @@ func breaches(snaps []Snapshot, all []series) []Breach {
 	return out
 }
 
+// Check applies the rule table to one pair: a fresh measurement against
+// the committed snapshot. A bench the committed snapshot lacks has nothing
+// to regress against. The fresh snapshot's Rebaselined is ignored — a
+// re-measure cannot excuse its own regression.
+func Check(committed, fresh Snapshot) []Breach {
+	fresh.Rebaselined = nil
+	pair := []Snapshot{committed, fresh}
+	return breaches(pair, trajectory(pair))
+}
+
 // TrajectoryReport renders the loaded trajectory as tables — one row per
 // metric, one column per issue, a delta over the whole trajectory, and a
 // gate status — plus the list of threshold breaches. Callers emit the
@@ -253,20 +267,16 @@ func breaches(snaps []Snapshot, all []series) []Breach {
 // the run.
 func TrajectoryReport(snaps []Snapshot) ([]experiment.Table, []Breach, error) {
 	if len(snaps) == 0 {
-		return nil, nil, fmt.Errorf("plan: empty trajectory")
+		return nil, nil, fmt.Errorf("perf: empty trajectory")
 	}
-	all := trajectorySeries(snaps)
+	all := trajectory(snaps)
 	brs := breaches(snaps, all)
-	breached := make(map[string]bool, len(brs))
+	var breached, rebased, rebaseNotes []string
 	for _, b := range brs {
-		breached[b.Metric] = true
+		breached = append(breached, b.Metric)
 	}
-	rebased := make(map[string]bool)
-	var rebaseNotes []string
 	for _, s := range snaps {
-		for _, m := range s.Rebaselined {
-			rebased[m] = true
-		}
+		rebased = append(rebased, s.Rebaselined...)
 		if len(s.Rebaselined) > 0 {
 			note := fmt.Sprintf("rebaselined at BENCH_%d: %s", s.Issue, strings.Join(s.Rebaselined, ", "))
 			if s.RebaselineNote != "" {
@@ -303,9 +313,9 @@ func TrajectoryReport(snaps []Snapshot) ([]experiment.Table, []Breach, error) {
 		status := "not gated"
 		if s.gate != nil {
 			switch {
-			case breached[s.metric+" ("+s.unit+")"]:
+			case slices.Contains(breached, s.label()):
 				status = "REGRESSED"
-			case rebased[s.metric+" ("+s.unit+")"]:
+			case slices.Contains(rebased, s.label()):
 				status = "rebaselined"
 			case first >= 0 && last > first && s.vals[last] < s.vals[first]:
 				status = "improved"
@@ -316,13 +326,12 @@ func TrajectoryReport(snaps []Snapshot) ([]experiment.Table, []Breach, error) {
 		return append(cells, delta, status)
 	}
 
-	var benchTable, scenarioTable experiment.Table
-	benchTable = experiment.Table{
+	benchTable := experiment.Table{
 		Title:  fmt.Sprintf("Perf trajectory: micro-benches (%d snapshots)", len(snaps)),
 		Note:   "gates: wire/kernel allocs/op exact, phy +2; ns/op informational (moves with hardware)",
 		Header: header,
 	}
-	scenarioTable = experiment.Table{
+	scenarioTable := experiment.Table{
 		Title:  "Perf trajectory: dense scenarios",
 		Note:   "gate: total allocs +50%; times and transmissions informational",
 		Header: header,

@@ -1,9 +1,10 @@
-package plan
+package perf
 
 import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,19 +27,19 @@ func writeSnapshot(t *testing.T, dir string, s Snapshot) string {
 func snapPair() (Snapshot, Snapshot) {
 	prev := Snapshot{
 		Issue:  4,
-		Wire:   []BenchPoint{{Name: "wire/decode-once", NsPerOp: 330, AllocsPerOp: 7}},
-		Phy:    []BenchPoint{{Name: "phy/broadcast", NsPerOp: 4300, AllocsPerOp: 6}},
+		Wire:   []Bench{{Name: "wire/decode-once", NsPerOp: 330, AllocsPerOp: 7}},
+		Phy:    []Bench{{Name: "phy/broadcast", NsPerOp: 4300, AllocsPerOp: 6}},
 		Kernel: nil, // section appears in the later snapshot only
-		Scenarios: []ScenarioPoint{
+		Scenarios: []Scenario{
 			{Name: "urban-grid", DownloadTime90S: 58.8, Transmissions90: 2761, Allocs: 141808},
 		},
 	}
 	cur := Snapshot{
 		Issue:  5,
-		Wire:   []BenchPoint{{Name: "wire/decode-once", NsPerOp: 332, AllocsPerOp: 7}},
-		Phy:    []BenchPoint{{Name: "phy/broadcast", NsPerOp: 4200, AllocsPerOp: 6}},
-		Kernel: []BenchPoint{{Name: "kernel/timer-reset", NsPerOp: 12, AllocsPerOp: 0}},
-		Scenarios: []ScenarioPoint{
+		Wire:   []Bench{{Name: "wire/decode-once", NsPerOp: 332, AllocsPerOp: 7}},
+		Phy:    []Bench{{Name: "phy/broadcast", NsPerOp: 4200, AllocsPerOp: 6}},
+		Kernel: []Bench{{Name: "kernel/timer-reset", NsPerOp: 12, AllocsPerOp: 0}},
+		Scenarios: []Scenario{
 			{Name: "urban-grid", DownloadTime90S: 58.8, Transmissions90: 2761, Allocs: 137264},
 		},
 	}
@@ -134,7 +135,7 @@ func TestTrajectoryReportHonorsRebaseline(t *testing.T) {
 	cur.RebaselineNote = "intentional behavior change"
 	next := Snapshot{
 		Issue: 6,
-		Scenarios: []ScenarioPoint{
+		Scenarios: []Scenario{
 			// 20% above the rebaselined value: within the resumed gate.
 			{Name: "urban-grid", DownloadTime90S: 58.8, Transmissions90: 2761, Allocs: 360_000},
 		},
@@ -231,11 +232,11 @@ func TestCommittedTrajectoryIsClean(t *testing.T) {
 	}
 }
 
-// TestSnapshotMachineHeaderRoundTrips pins the machine header: a committed
-// snapshot from before NumCPU/GOMAXPROCS were recorded still loads (both
-// read as zero), and a snapshot carrying them writes and reloads them
-// unchanged.
-func TestSnapshotMachineHeaderRoundTrips(t *testing.T) {
+// TestSnapshotHeaderRoundTrips pins the machine header: a committed
+// snapshot written before NumCPU/GOMAXPROCS were recorded still loads
+// (both read as zero) and re-encodes without them, so old files keep
+// their shape, and a snapshot carrying them writes and reloads unchanged.
+func TestSnapshotHeaderRoundTrips(t *testing.T) {
 	t.Parallel()
 	old, err := LoadTrajectory("../../BENCH_8.json")
 	if err != nil {
@@ -245,6 +246,16 @@ func TestSnapshotMachineHeaderRoundTrips(t *testing.T) {
 		t.Fatalf("BENCH_8.json loaded as issue %d, num_cpu %d, gomaxprocs %d, %d scenarios",
 			old[0].Issue, old[0].NumCPU, old[0].GOMAXPROCS, len(old[0].Scenarios))
 	}
+	reenc, err := json.Marshal(old[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"num_cpu"`, `"gomaxprocs"`} {
+		if strings.Contains(string(reenc), key) {
+			t.Fatalf("re-encoded old snapshot gained %s", key)
+		}
+	}
+
 	cur := old[0]
 	cur.Issue, cur.NumCPU, cur.GOMAXPROCS = 9, 16, 4
 	path := writeSnapshot(t, t.TempDir(), cur)
@@ -261,7 +272,77 @@ func TestSnapshotMachineHeaderRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back[0].NumCPU != 16 || back[0].GOMAXPROCS != 4 || len(back[0].Scenarios) != len(cur.Scenarios) {
-		t.Fatalf("round trip: num_cpu %d, gomaxprocs %d, %d scenarios", back[0].NumCPU, back[0].GOMAXPROCS, len(back[0].Scenarios))
+	cur.Path = path
+	if !reflect.DeepEqual(back[0], cur) {
+		t.Fatalf("round trip changed the snapshot:\n got  %+v\n want %+v", back[0], cur)
+	}
+}
+
+// snapshotWith builds a snapshot holding one entry, named name, in the
+// given section with allocs as its gated allocation count. Every time in
+// it is ns, so a pair built with different ns also shows that times never
+// gate.
+func snapshotWith(section, name string, allocs int64, ns float64) Snapshot {
+	b := []Bench{{Name: name, NsPerOp: ns, AllocsPerOp: allocs}}
+	switch section {
+	case "wire":
+		return Snapshot{Wire: b}
+	case "phy":
+		return Snapshot{Phy: b}
+	case "kernel":
+		return Snapshot{Kernel: b}
+	case "shard":
+		return Snapshot{Shard: b}
+	case "fault":
+		return Snapshot{Fault: b}
+	}
+	return Snapshot{Scenarios: []Scenario{{Name: name, DownloadTime90S: ns, Transmissions90: ns, Allocs: uint64(allocs)}}}
+}
+
+// TestBenchCheckRule pins the bench-check gate section by section: wire
+// and kernel allocs/op exact, phy +2, scenario total allocs and shard
+// allocs/op +50% (at odd previous values, where the integer p+p/2 and the
+// float 1.5p limits must agree), the fault section and every time never
+// gated, a bench new in the fresh snapshot skipped, and the fresh
+// snapshot's Rebaselined ignored.
+func TestBenchCheckRule(t *testing.T) {
+	cases := []struct {
+		section   string
+		prev, cur int64
+		regressed bool
+	}{
+		{"wire", 7, 7, false},
+		{"wire", 7, 8, true},
+		{"kernel", 0, 0, false},
+		{"kernel", 0, 1, true},
+		{"phy", 6, 8, false},
+		{"phy", 6, 9, true},
+		{"scenario", 141807, 212710, false},
+		{"scenario", 141807, 212711, true},
+		{"shard", 3, 4, false},
+		{"shard", 3, 5, true},
+		{"shard", 93722757, 140584135, false},
+		{"shard", 93722757, 140584136, true},
+		{"fault", 1, 1000, false},
+	}
+	for _, tc := range cases {
+		name := tc.section + "/bench"
+		brs := Check(snapshotWith(tc.section, name, tc.prev, 1), snapshotWith(tc.section, name, tc.cur, 1e9))
+		if got := len(brs) > 0; got != tc.regressed {
+			t.Errorf("%s %d -> %d: regressed = %v, want %v (%+v)", tc.section, tc.prev, tc.cur, got, tc.regressed, brs)
+		} else if got && (len(brs) != 1 || !strings.HasPrefix(brs[0].Metric, name+" (")) {
+			t.Errorf("%s %d -> %d: want one breach of %s, got %+v", tc.section, tc.prev, tc.cur, name, brs)
+		}
+	}
+
+	// A bench the committed snapshot lacks has nothing to regress against.
+	if brs := Check(Snapshot{}, snapshotWith("wire", "wire/new", 1000, 1)); len(brs) != 0 {
+		t.Errorf("new bench gated: %+v", brs)
+	}
+	// A fresh snapshot cannot excuse its own regression by rebaselining it.
+	cur := snapshotWith("wire", "wire/bench", 8, 1)
+	cur.Rebaselined = []string{"wire/bench (allocs/op)"}
+	if brs := Check(snapshotWith("wire", "wire/bench", 7, 1), cur); len(brs) != 1 {
+		t.Errorf("fresh Rebaselined honored: %+v", brs)
 	}
 }

@@ -150,36 +150,23 @@ func decodePlan(tree map[string]any) (*Plan, error) {
 	}
 
 	if f := d.table(top, "faults"); f != nil {
-		fm := d.strict(f, "faults", "crash_frac", "crash_from", "crash_until",
-			"restart_min", "restart_max", "jam_x", "jam_y", "jam_radius",
-			"jam_from", "jam_until", "loss_model", "loss_p_good", "loss_p_bad",
-			"loss_good_to_bad", "loss_bad_to_good")
-		fp := &fault.Plan{}
-		dur := func(key string, into *time.Duration) {
-			if s := d.str(fm, "faults", key, ""); s != "" {
-				if v, err := time.ParseDuration(s); err != nil {
-					d.errf("faults.%s: %v", key, err)
-				} else {
-					*into = v
+		fm := d.strict(f, "faults", fault.Keys()...)
+		p.Base.Faults = fault.Decode(func(key string, field any) {
+			switch dst := field.(type) {
+			case *float64:
+				*dst = d.float(fm, "faults", key, 0)
+			case *string:
+				*dst = d.str(fm, "faults", key, "")
+			case *time.Duration:
+				if s := d.str(fm, "faults", key, ""); s != "" {
+					if v, err := time.ParseDuration(s); err != nil {
+						d.errf("faults.%s: %v", key, err)
+					} else {
+						*dst = v
+					}
 				}
 			}
-		}
-		fp.CrashFrac = d.float(fm, "faults", "crash_frac", 0)
-		dur("crash_from", &fp.CrashFrom)
-		dur("crash_until", &fp.CrashUntil)
-		dur("restart_min", &fp.RestartMin)
-		dur("restart_max", &fp.RestartMax)
-		fp.JamX = d.float(fm, "faults", "jam_x", 0)
-		fp.JamY = d.float(fm, "faults", "jam_y", 0)
-		fp.JamRadius = d.float(fm, "faults", "jam_radius", 0)
-		dur("jam_from", &fp.JamFrom)
-		dur("jam_until", &fp.JamUntil)
-		fp.LossModel = d.str(fm, "faults", "loss_model", "")
-		fp.PGood = d.float(fm, "faults", "loss_p_good", 0)
-		fp.PBad = d.float(fm, "faults", "loss_p_bad", 0)
-		fp.GoodToBad = d.float(fm, "faults", "loss_good_to_bad", 0)
-		fp.BadToGood = d.float(fm, "faults", "loss_bad_to_good", 0)
-		p.Base.Faults = fp
+		})
 	}
 
 	if d.err != nil {
