@@ -232,11 +232,11 @@ func TestCommittedTrajectoryIsClean(t *testing.T) {
 	}
 }
 
-// TestSnapshotHeaderRoundTrips pins the machine header: a committed
+// TestSnapshotMachineHeaderRoundTrips pins the machine header: a committed
 // snapshot written before NumCPU/GOMAXPROCS were recorded still loads
 // (both read as zero) and re-encodes without them, so old files keep
 // their shape, and a snapshot carrying them writes and reloads unchanged.
-func TestSnapshotHeaderRoundTrips(t *testing.T) {
+func TestSnapshotMachineHeaderRoundTrips(t *testing.T) {
 	t.Parallel()
 	old, err := LoadTrajectory("../../BENCH_8.json")
 	if err != nil {

@@ -372,9 +372,9 @@ func TestScheduleFuncRecyclesEvents(t *testing.T) {
 
 // TestCanceledEventsAreRecycled pins the free-list contract for cancelable
 // events: a cancel returns the record, and the next schedule reuses it, so a
-// schedule/cancel loop settles at zero allocations.
+// schedule/cancel loop settles at zero allocations. Not parallel:
+// testing.AllocsPerRun counts the allocations of every goroutine.
 func TestCanceledEventsAreRecycled(t *testing.T) {
-	t.Parallel()
 	for _, q := range queueKinds {
 		k := NewKernelWithQueue(1, q.kind)
 		fn := func() {}
@@ -489,8 +489,9 @@ func TestTimerPeriodicReArm(t *testing.T) {
 
 // TestTimerResetDoesNotAllocate pins the satellite contract: steady-state
 // Reset of a live timer — the retransmission-timeout pattern — is 0 allocs.
+// Not parallel: testing.AllocsPerRun counts the allocations of every
+// goroutine.
 func TestTimerResetDoesNotAllocate(t *testing.T) {
-	t.Parallel()
 	for _, q := range queueKinds {
 		k := NewKernelWithQueue(1, q.kind)
 		// A realistic surrounding population so the queue is not trivially
