@@ -58,16 +58,19 @@ bench-nfd:
 # shard-scaling section (sequential vs 2 vs 4 stripes wall-clock plus the
 # 50k-node urban-metro trial), and the informational fault section (one
 # urban-grid-chaos trial pricing the crash/restart hardening), as stable
-# JSON; the schema lives in internal/perf. BENCH_8.json is the checked-in perf-trajectory entry for the
-# fault-injection PR (BENCH_7.json the persistent-worker/window-batching
-# PR's, BENCH_6.json the space-partitioned kernel's, BENCH_5.json the
-# timer wheel's, BENCH_4.json the zero-copy wire path's); regenerate it
-# with this target when a PR intentionally moves the numbers. Use -rebase
-# (see cmd/bench-snapshot) to mark gated metrics a snapshot moves on
-# purpose.
+# JSON; the schema lives in internal/perf. Each BENCH_<n>.json is a
+# checked-in perf-trajectory point (BENCH_8.json the fault-injection PR's,
+# BENCH_7.json the persistent-worker/window-batching PR's, BENCH_6.json the
+# space-partitioned kernel's, BENCH_5.json the timer wheel's, BENCH_4.json
+# the zero-copy wire path's). When a change intentionally moves the
+# numbers, add the next point with `make bench-json ISSUE=<n>`, which
+# writes BENCH_<n>.json; without ISSUE the target refuses to run, so it
+# never overwrites a committed point. Use -rebase (see cmd/bench-snapshot)
+# to mark gated metrics a snapshot moves on purpose.
 bench-json:
-	$(GO) run ./cmd/bench-snapshot -issue 8 -o BENCH_8.json
-	@cat BENCH_8.json
+	@if [ -z "$(ISSUE)" ]; then echo "usage: make bench-json ISSUE=<n>  (writes BENCH_<n>.json)" >&2; exit 2; fi
+	$(GO) run ./cmd/bench-snapshot -issue $(ISSUE) -o BENCH_$(ISSUE).json
+	@cat BENCH_$(ISSUE).json
 
 # The perf gate CI runs: re-measures and FAILS if a hardware-independent
 # alloc number regressed against the committed BENCH_8.json, under the
@@ -132,7 +135,12 @@ plan-report:
 # map-scan selection, the allocation-free receive path (broadcast cost
 # independent of the receiver count, a known neighbor's bitmap Data handled
 # with 0 allocs, the word-wise bitmap codec held to a bit-by-bit reference,
-# and the name decoder's and URI-key's contracts), and the neighbor query:
+# and the name decoder's and URI-key's contracts), the send path (the
+# one-buffer encoder held byte for byte to the nested-append oracle, one
+# allocation per Encode and per SignDigest+Encode), the duplicate-nonce
+# table (held to the map it replaced, allocation-free in steady state,
+# emptied by a cold restart, bounded over a 10x-horizon chaos soak), and
+# the neighbor query:
 # random-direction positions bit-identical to the per-call trigonometry and
 # binary search they replaced, the grid's cached Near answers held to a
 # fresh grid, and the drift prefilter at its exact bound on the local and
@@ -141,13 +149,13 @@ plan-report:
 # plan's [faults] section decoding to the same fault plan as fault.Parse.
 # TestGateListsNameRealTests fails if a name below no longer exists.
 golden:
-	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep|TestCompletionCounterMatchesScan|TestCompletionPredicateDoesNotAllocate' -count=1 ./internal/experiment/
+	$(GO) test -run 'TestGoldenScenarioJSON|TestGoldenTraceGridMatchesNaive|TestGoldenTraceWheelMatchesHeap|TestBaselineTrialsDeterministic|TestShardedTrialSerialMatchesParallel|TestShardedTrialBatchingMatchesLockstep|TestCompletionCounterMatchesScan|TestCompletionPredicateDoesNotAllocate|TestNonceTablesStayBounded' -count=1 ./internal/experiment/
 	$(GO) test -run 'TestGridMatchesNaiveTrace|TestShardedMediumSingleShardMatchesMedium|TestShardedMediumSerialMatchesParallel|TestShardedMediumCullingAndBatchingTraceNeutral|TestBroadcastAllocsIndependentOfReceivers|TestPrefilterSoundAtDriftBoundLocal|TestPrefilterSoundAtDriftBoundCrossShard' -count=1 ./internal/phy/
 	$(GO) test -run 'TestWheelMatchesHeapUnderChurn|TestCancelReclaimsQueueSpace|TestTimerResetDoesNotAllocate|TestShardedSingleShardMatchesKernel|TestShardedSerialMatchesParallel|TestWindowBatchingMatchesLockstep|TestShardedCloseLifecycle' -count=1 ./internal/sim/
 	$(GO) test -run 'TestLookupPathsDoNotAllocate' -count=1 ./internal/nfd/
 	$(GO) test -run 'TestRandomDirectionMatchesReferenceBitExact|TestGridNearProperty' -count=1 ./internal/geo/
 	$(GO) test -run 'TestRunningRarityMatchesRecount|TestNextRequestDoesNotAllocate|TestRarityRunningCountsProperty|TestObserveCopiesIntoStoredBitmap|TestWordwiseCodecMatchesBitwiseReference|TestInPlaceCodecDoesNotAllocate' -count=1 ./internal/rpf/ ./internal/bitmap/
-	$(GO) test -run 'TestBitmapDataFromKnownNeighborDoesNotAllocate|TestDecodeNameAllocatesTwice|TestAppendURIKeyMatchesParseName' -count=1 ./internal/core/ ./internal/ndn/
+	$(GO) test -run 'TestBitmapDataFromKnownNeighborDoesNotAllocate|TestDecodeNameAllocatesTwice|TestAppendURIKeyMatchesParseName|TestEncodeMatchesNestedOracle|TestEncodeAllocatesOnce|TestSignDigestEncodesOnce|TestRestartForgetsNonces|TestNonceTableMatchesMapReference|TestNonceTableSteadyStateDoesNotAllocate' -count=1 ./internal/core/ ./internal/ndn/ ./internal/nfd/
 	$(GO) test -run 'TestReportGolden|TestFaultsSectionMatchesFaultParse' -count=1 ./cmd/dapes-plan/ ./internal/plan/
 
 # The example binaries, built and executed end to end: each must exit 0

@@ -6,8 +6,8 @@
 //	maporder      — no map-iteration order reaching scheduling, wire,
 //	                stats, sends, or unsorted output slices
 //	wireimmut     — no writes through shared wire-frame views, no field
-//	                mutation of encoded/decoded packets without
-//	                InvalidateWire
+//	                mutation of encoded, digest-signed or decoded packets
+//	                without InvalidateWire
 //	handlehygiene — no stored *sim.Event; hold sim.Handle / sim.Timer
 //
 // Usage:

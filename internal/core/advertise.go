@@ -41,21 +41,22 @@ func (p *Peer) sendBitmapInterest(cs *collectionState) {
 	p.touchSession(cs)
 	p.bitmapReqSeq++
 	in := &ndn.Interest{
-		Name:        bitmapInterestName(cs.collection),
+		Name:        cs.bitmapName,
 		CanBePrefix: true,
 		Nonce:       p.newNonce(),
 		AppParams: bitmapPayload{
-			Collection: cs.collection,
+			Collection: cs.uri,
 			Owner:      p.id,
 			Bitmap:     cs.own,
 		}.encode(),
 	}
+	wire := in.Encode()
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running {
 			return
 		}
 		p.stats.BitmapInterestsSent++
-		p.medium.Broadcast(p.radio, in.Encode())
+		p.medium.Broadcast(p.radio, wire)
 	})
 }
 
@@ -199,10 +200,13 @@ func (p *Peer) transmitBitmap(cs *collectionState) {
 		return
 	}
 	s.txSeq++
+	if cs.dataPrefix == nil {
+		cs.dataPrefix = bitmapDataPrefix(cs.bitmapName, p.id)
+	}
 	d := &ndn.Data{
-		Name: bitmapDataName(cs.collection, p.id, s.txSeq),
+		Name: cs.dataPrefix.AppendSeq(s.txSeq),
 		Content: bitmapPayload{
-			Collection: cs.collection,
+			Collection: cs.uri,
 			Owner:      p.id,
 			Bitmap:     cs.own,
 		}.encode(),

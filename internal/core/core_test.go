@@ -525,8 +525,8 @@ func TestBitmapDataFromKnownNeighborDoesNotAllocate(t *testing.T) {
 			bm.Set(i)
 		}
 		d := &ndn.Data{
-			Name:    bitmapDataName(coll, owner, seq),
-			Content: bitmapPayload{Collection: coll, Owner: owner, Bitmap: bm}.encode(),
+			Name:    bitmapDataPrefix(bitmapInterestName(coll), owner).AppendSeq(seq),
+			Content: bitmapPayload{Collection: coll.String(), Owner: owner, Bitmap: bm}.encode(),
 		}
 		d.SignDigest()
 		dec, err := ndn.DecodeData(d.Encode())

@@ -42,7 +42,7 @@ func (p *Peer) Restart() {
 		return
 	}
 	p.neighbors = make(map[int]*neighbor)
-	p.nonceSeen = make(map[uint32]time.Duration)
+	p.nonces.Reset()
 	p.forwarded = make(map[string]*forwardRecord)
 	p.suppressed = make(map[string]time.Duration)
 	p.recentActivity = false

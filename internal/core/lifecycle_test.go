@@ -184,3 +184,33 @@ func TestCrashRestartDeterministic(t *testing.T) {
 		t.Fatalf("completion at %v predates the restart", at1)
 	}
 }
+
+// TestRestartForgetsNonces pins the cold reboot's dedup wipe: after Restart
+// the nonce table is empty, so an Interest whose nonce the peer recorded
+// just before crashing is no longer a duplicate, and MemoryFootprint (for
+// a peer without collections: neighbor, forwarding and dedup state only)
+// is back to zero.
+func TestRestartForgetsNonces(t *testing.T) {
+	t.Parallel()
+	net := newTestNet(47, 100)
+	a := net.peer(geo.Point{}, Config{})
+	b := net.peer(geo.Point{X: 20}, Config{})
+	a.Start()
+	b.Start()
+	net.k.Run(10 * time.Second)
+	last := a.newNonce()
+	if a.nonces.Len() < 2 {
+		t.Fatalf("nonce table holds %d entries after 10 s of beacons; want its own and b's", a.nonces.Len())
+	}
+	a.Crash()
+	a.Restart()
+	if n := a.nonces.Len(); n != 0 {
+		t.Fatalf("nonce table holds %d entries after Restart", n)
+	}
+	if got := a.MemoryFootprint(); got != 0 {
+		t.Fatalf("MemoryFootprint after Restart = %d, want 0", got)
+	}
+	if a.nonces.Duplicate(last, net.k.Now()) {
+		t.Fatal("a nonce recorded before the crash is still a duplicate after Restart")
+	}
+}

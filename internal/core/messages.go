@@ -21,9 +21,10 @@ var errBadMessage = errors.New("core: malformed protocol message")
 // discoveryInterestName names a peer's discovery beacon. The beacon name is
 // the bare discovery prefix (with CanBePrefix) so that discovery replies —
 // named under the same prefix — match it for reverse-path forwarding by
-// intermediate nodes; the sender rides in ApplicationParameters.
+// intermediate nodes; the sender rides in ApplicationParameters. Every
+// beacon shares the one prefix Name: a packet's Name is read-only.
 func discoveryInterestName() ndn.Name {
-	return discoveryPrefix.Clone()
+	return discoveryPrefix
 }
 
 // isDiscoveryInterest recognizes beacon Interests and extracts the sender
@@ -38,10 +39,11 @@ func isDiscoveryInterest(in *ndn.Interest) (peerID int, ok bool) {
 	return int(binary.BigEndian.Uint32(in.AppParams)), true
 }
 
-// discoveryReplyName names a discovery Data packet: /dapes/discovery/reply/
-// <responder>/<seq>. The sequence makes successive replies distinct.
-func discoveryReplyName(peerID, seq int) ndn.Name {
-	return discoveryPrefix.Append("reply").AppendSeq(peerID).AppendSeq(seq)
+// discoveryReplyPrefix is the prefix of a responder's discovery Data names,
+// /dapes/discovery/reply/<responder>; a reply appends its sequence number,
+// which makes successive replies distinct.
+func discoveryReplyPrefix(peerID int) ndn.Name {
+	return discoveryPrefix.Append("reply").AppendSeq(peerID)
 }
 
 // isDiscoveryReply recognizes discovery Data and extracts the responder.
@@ -76,43 +78,87 @@ func (p discoveryPayload) encode() []byte {
 	return b
 }
 
-func decodeDiscoveryPayload(buf []byte) (discoveryPayload, error) {
-	var p discoveryPayload
+// offerReader reads a received discovery payload in place: next returns
+// each offered metadata name's URI as a view into the payload, and no Name
+// is built (docs/CONTRACTS.md, "Send path: encode once, one
+// duplicate-nonce table").
+type offerReader struct {
+	buf  []byte // the URI entries not yet read
+	left int    // how many of them
+}
+
+// readOffers checks the whole payload before any offer is read, so a
+// malformed reply is dropped entirely, as a failed decode would be.
+// Bytes after the last entry are ignored.
+func readOffers(buf []byte) (offerReader, error) {
 	if len(buf) < 2 {
-		return p, errBadMessage
+		return offerReader{}, errBadMessage
 	}
 	count := int(binary.BigEndian.Uint16(buf))
 	pos := 2
 	for i := 0; i < count; i++ {
 		if pos+2 > len(buf) {
-			return p, errBadMessage
+			return offerReader{}, errBadMessage
 		}
-		l := int(binary.BigEndian.Uint16(buf[pos:]))
-		pos += 2
-		if pos+l > len(buf) {
-			return p, errBadMessage
+		pos += 2 + int(binary.BigEndian.Uint16(buf[pos:]))
+		if pos > len(buf) {
+			return offerReader{}, errBadMessage
 		}
-		p.MetadataNames = append(p.MetadataNames, ndn.ParseName(string(buf[pos:pos+l])))
-		pos += l
 	}
-	return p, nil
+	return offerReader{buf: buf[2:pos], left: count}, nil
+}
+
+// next returns the next offered URI, or false after the last one.
+func (r *offerReader) next() ([]byte, bool) {
+	if r.left == 0 {
+		return nil, false
+	}
+	r.left--
+	l := int(binary.BigEndian.Uint16(r.buf))
+	uri := r.buf[2 : 2+l]
+	r.buf = r.buf[2+l:]
+	return uri, true
+}
+
+// offeredCollection returns the URI of the collection an offered metadata
+// name belongs to: the name without its last two components
+// (/metadata-file/<version>). Like ndn.ParseName it ignores empty
+// components; ok is false when the name has fewer than three.
+func offeredCollection(metaURI []byte) (uri []byte, ok bool) {
+	end := len(metaURI)
+	for range 2 {
+		for end > 0 && metaURI[end-1] == '/' {
+			end--
+		}
+		if end == 0 {
+			return nil, false
+		}
+		for end > 0 && metaURI[end-1] != '/' {
+			end--
+		}
+	}
+	for _, c := range metaURI[:end] {
+		if c != '/' {
+			return metaURI[:end], true
+		}
+	}
+	return nil, false
 }
 
 // bitmapPayload travels in bitmap Interests (AppParams) and bitmap Data
 // (content): the owner's bitmap for one collection. It is the encoding
 // side; received payloads are decoded in place into an advert.
 type bitmapPayload struct {
-	Collection ndn.Name
+	Collection string // the collection's URI
 	Owner      int
 	Bitmap     *bitmap.Bitmap
 }
 
 func (p bitmapPayload) encode() []byte {
-	uri := p.Collection.String()
 	// Room for the URI and owner headers plus the bitmap's whole words.
-	b := make([]byte, 0, 2+len(uri)+4+4+p.Bitmap.Len()/8+8)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(uri)))
-	b = append(b, uri...)
+	b := make([]byte, 0, 2+len(p.Collection)+4+4+p.Bitmap.Len()/8+8)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Collection)))
+	b = append(b, p.Collection...)
 	b = binary.BigEndian.AppendUint32(b, uint32(p.Owner))
 	return p.Bitmap.AppendEncode(b)
 }
@@ -162,7 +208,8 @@ func (a *advert) collection() ndn.Name {
 }
 
 // collectionKey is a short stable name component for a collection, used in
-// bitmap packet names (full URIs ride in the payload).
+// bitmap packet names (full URIs ride in the payload). It is computed once
+// per collection state, inside bitmapInterestName.
 func collectionKey(collection ndn.Name) ndn.Component {
 	sum := uint32(2166136261)
 	for _, c := range collection {
@@ -179,15 +226,18 @@ func collectionKey(collection ndn.Name) ndn.Component {
 // bitmapInterestName names a bitmap request: /dapes/bitmap/<collKey>. The
 // name is a prefix of the advertisement Data names so that forwarded bitmap
 // Interests pull advertisements back across hops; the requester's identity
-// and bitmap ride in ApplicationParameters.
+// and bitmap ride in ApplicationParameters. Each collection state builds
+// it once (collectionState.bitmapName).
 func bitmapInterestName(collection ndn.Name) ndn.Name {
 	return bitmapPrefix.Append(collectionKey(collection))
 }
 
-// bitmapDataName names an advertisement transmission: /dapes/bitmap/
-// <collKey>/adv/<owner>/<seq>.
-func bitmapDataName(collection ndn.Name, peerID, seq int) ndn.Name {
-	return bitmapPrefix.Append(collectionKey(collection), "adv").AppendSeq(peerID).AppendSeq(seq)
+// bitmapDataPrefix is the prefix of owner's advertisement Data names for
+// the collection whose bitmap Interest name is interestName:
+// /dapes/bitmap/<collKey>/adv/<owner>. A transmission appends its
+// sequence number.
+func bitmapDataPrefix(interestName ndn.Name, owner int) ndn.Name {
+	return interestName.Append("adv").AppendSeq(owner)
 }
 
 // isBitmapInterest reports whether the name is a bitmap Interest.

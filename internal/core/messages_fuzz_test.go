@@ -15,8 +15,12 @@ import (
 // never panics, and a successfully decoded payload must round-trip through
 // encode∘decode to an identical payload (fixed point).
 
-// FuzzDiscoveryPayload explores decodeDiscoveryPayload, the codec for the
-// metadata-name lists carried in discovery replies.
+// FuzzDiscoveryPayload explores readOffers, the in-place reader of the
+// metadata-name lists carried in discovery replies. Besides the fixed
+// point, each offered collection taken from the URI bytes
+// (offeredCollection) must have the key of the parsed metadata name minus
+// its last two components, and be refused exactly when that name has
+// fewer than three.
 func FuzzDiscoveryPayload(f *testing.F) {
 	f.Add(discoveryPayload{}.encode())
 	f.Add(discoveryPayload{MetadataNames: []ndn.Name{
@@ -29,23 +33,37 @@ func FuzzDiscoveryPayload(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 1, '/', 0, 0})         // second name empty
 	f.Add(append([]byte{0, 1, 0, 4}, "/a/b"...)) // minimal valid single name
 
+	f.Add(append([]byte{0, 1, 0, 22}, "//c//metadata-file/7//"...)) // empty components
+	f.Add(append([]byte{0, 1, 0, 17}, "/metadata-file/7/"...))      // too short for a collection
+
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		p, err := decodeDiscoveryPayload(buf)
+		names, err := decodeOffers(buf)
 		if err != nil {
 			return
 		}
-		re := p.encode()
-		p2, err := decodeDiscoveryPayload(re)
+		r, _ := readOffers(buf)
+		for _, n := range names {
+			uri, _ := r.next()
+			coll, ok := offeredCollection(uri)
+			if n.Len() < 3 {
+				if ok {
+					t.Fatalf("offer %q of %d components yielded collection %q", uri, n.Len(), coll)
+				}
+			} else if want := n.Prefix(n.Len() - 2).AppendKey(nil); !ok || string(ndn.AppendURIKey(nil, coll)) != string(want) {
+				t.Fatalf("offer %q: collection %q (ok %v), want the key of %s", uri, coll, ok, n.Prefix(n.Len()-2))
+			}
+		}
+		re := discoveryPayload{MetadataNames: names}.encode()
+		names2, err := decodeOffers(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
 		}
-		if len(p.MetadataNames) != len(p2.MetadataNames) {
-			t.Fatalf("name count changed: %d -> %d", len(p.MetadataNames), len(p2.MetadataNames))
+		if len(names) != len(names2) {
+			t.Fatalf("name count changed: %d -> %d", len(names), len(names2))
 		}
-		for i := range p.MetadataNames {
-			if !p.MetadataNames[i].Equal(p2.MetadataNames[i]) {
-				t.Fatalf("name %d not a fixed point: %s -> %s",
-					i, p.MetadataNames[i], p2.MetadataNames[i])
+		for i := range names {
+			if !names[i].Equal(names2[i]) {
+				t.Fatalf("name %d not a fixed point: %s -> %s", i, names[i], names2[i])
 			}
 		}
 	})
@@ -66,9 +84,9 @@ func FuzzBitmapPayload(f *testing.F) {
 	sparse.Set(0)
 	sparse.Set(16)
 	for _, p := range []bitmapPayload{
-		{Collection: ndn.ParseName("/field-report"), Owner: 3, Bitmap: full},
-		{Collection: ndn.ParseName("/x"), Owner: 0, Bitmap: sparse},
-		{Collection: ndn.ParseName("/"), Owner: 1 << 20, Bitmap: bitmap.New(0)},
+		{Collection: "/field-report", Owner: 3, Bitmap: full},
+		{Collection: "/x", Owner: 0, Bitmap: sparse},
+		{Collection: "/", Owner: 1 << 20, Bitmap: bitmap.New(0)},
 	} {
 		f.Add(p.encode())
 	}
@@ -82,7 +100,7 @@ func FuzzBitmapPayload(f *testing.F) {
 
 	prevBits := bitmap.New(300)
 	prevBits.SetAll()
-	prev := bitmapPayload{Collection: ndn.ParseName("/previous/advert"), Owner: 77, Bitmap: prevBits}.encode()
+	prev := bitmapPayload{Collection: "/previous/advert", Owner: 77, Bitmap: prevBits}.encode()
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var fresh, scratch advert
@@ -110,7 +128,7 @@ func FuzzBitmapPayload(f *testing.F) {
 		if want := coll.AppendKey(nil); string(fresh.key) != string(want) {
 			t.Fatalf("key %x, want ParseName(%q).AppendKey = %x", fresh.key, fresh.uri, want)
 		}
-		re := bitmapPayload{Collection: coll, Owner: fresh.owner, Bitmap: fresh.bitmap}.encode()
+		re := bitmapPayload{Collection: coll.String(), Owner: fresh.owner, Bitmap: fresh.bitmap}.encode()
 		var again advert
 		if err := again.decode(re); err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v\nbuf: %x\nre:  %x", err, buf, re)
@@ -120,7 +138,7 @@ func FuzzBitmapPayload(f *testing.F) {
 		}
 		// The re-encoding itself must be stable byte-for-byte, since bitmap
 		// payloads are compared and unioned by content across peers.
-		re2 := bitmapPayload{Collection: again.collection(), Owner: again.owner, Bitmap: again.bitmap}.encode()
+		re2 := bitmapPayload{Collection: again.collection().String(), Owner: again.owner, Bitmap: again.bitmap}.encode()
 		if !bytes.Equal(re, re2) {
 			t.Fatalf("encode not stable: %x vs %x", re, re2)
 		}

@@ -33,7 +33,7 @@ func TestDiscoveryInterestRecognition(t *testing.T) {
 
 func TestDiscoveryReplyNames(t *testing.T) {
 	t.Parallel()
-	name := discoveryReplyName(7, 3)
+	name := discoveryReplyPrefix(7).AppendSeq(3)
 	id, ok := isDiscoveryReply(name)
 	if !ok || id != 7 {
 		t.Fatalf("isDiscoveryReply(%s) = %d, %v", name, id, ok)
@@ -50,24 +50,36 @@ func TestDiscoveryReplyNames(t *testing.T) {
 	}
 }
 
+// decodeOffers reads a discovery payload through the in-place reader and
+// parses each offered URI.
+func decodeOffers(buf []byte) ([]ndn.Name, error) {
+	r, err := readOffers(buf)
+	if err != nil {
+		return nil, err
+	}
+	var out []ndn.Name
+	for uri, ok := r.next(); ok; uri, ok = r.next() {
+		out = append(out, ndn.ParseName(string(uri)))
+	}
+	return out, nil
+}
+
 func TestDiscoveryPayloadRoundTrip(t *testing.T) {
 	t.Parallel()
 	p := discoveryPayload{MetadataNames: []ndn.Name{
 		ndn.ParseName("/coll-a/metadata-file/12ab34cd"),
 		ndn.ParseName("/coll-b/metadata-file/99ff00aa"),
 	}}
-	out, err := decodeDiscoveryPayload(p.encode())
+	out, err := decodeOffers(p.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.MetadataNames) != 2 ||
-		!out.MetadataNames[0].Equal(p.MetadataNames[0]) ||
-		!out.MetadataNames[1].Equal(p.MetadataNames[1]) {
+	if len(out) != 2 || !out[0].Equal(p.MetadataNames[0]) || !out[1].Equal(p.MetadataNames[1]) {
 		t.Fatalf("roundtrip = %+v", out)
 	}
 	// Empty list round-trips.
-	empty, err := decodeDiscoveryPayload(discoveryPayload{}.encode())
-	if err != nil || len(empty.MetadataNames) != 0 {
+	empty, err := decodeOffers(discoveryPayload{}.encode())
+	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty roundtrip: %v %v", empty, err)
 	}
 }
@@ -81,7 +93,7 @@ func TestDiscoveryPayloadDecodeErrors(t *testing.T) {
 		{0, 1, 0, 50, 'x', 'y'}, // length exceeds buffer
 	}
 	for i, buf := range cases {
-		if _, err := decodeDiscoveryPayload(buf); err == nil {
+		if _, err := readOffers(buf); err == nil {
 			t.Fatalf("case %d decoded", i)
 		}
 	}
@@ -92,19 +104,16 @@ func TestBitmapPayloadRoundTrip(t *testing.T) {
 	bm := bitmap.New(100)
 	bm.Set(1)
 	bm.Set(99)
-	p := bitmapPayload{
-		Collection: ndn.ParseName("/damaged-bridge-1533783192"),
-		Owner:      13,
-		Bitmap:     bm,
-	}
+	coll := ndn.ParseName("/damaged-bridge-1533783192")
+	p := bitmapPayload{Collection: coll.String(), Owner: 13, Bitmap: bm}
 	var out advert
 	if err := out.decode(p.encode()); err != nil {
 		t.Fatal(err)
 	}
-	if !out.collection().Equal(p.Collection) || out.owner != 13 || !out.bitmap.Equal(bm) {
+	if !out.collection().Equal(coll) || out.owner != 13 || !out.bitmap.Equal(bm) {
 		t.Fatalf("roundtrip = %+v", out)
 	}
-	if string(out.key) != string(p.Collection.AppendKey(nil)) {
+	if string(out.key) != string(coll.AppendKey(nil)) {
 		t.Fatalf("key %q, want the collection's AppendKey", out.key)
 	}
 }
@@ -127,7 +136,7 @@ func TestBitmapNamesRecognition(t *testing.T) {
 	if !isBitmapInterest(in) {
 		t.Fatalf("bitmap interest %s not recognized", in)
 	}
-	data := bitmapDataName(coll, 5, 2)
+	data := bitmapDataPrefix(in, 5).AppendSeq(2)
 	if !isBitmapData(data) {
 		t.Fatalf("bitmap data %s not recognized", data)
 	}
@@ -170,7 +179,7 @@ func TestBitmapPayloadRoundTripProperty(t *testing.T) {
 		for _, b := range setBits {
 			bm.Set(int(b) % 256)
 		}
-		p := bitmapPayload{Collection: ndn.ParseName("/c"), Owner: int(owner), Bitmap: bm}
+		p := bitmapPayload{Collection: "/c", Owner: int(owner), Bitmap: bm}
 		var out advert
 		err := out.decode(p.encode())
 		return err == nil && out.owner == int(owner) && out.bitmap.Equal(bm)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dapes/internal/bitmap"
@@ -11,6 +12,7 @@ import (
 	"dapes/internal/keys"
 	"dapes/internal/metadata"
 	"dapes/internal/ndn"
+	"dapes/internal/nfd"
 	"dapes/internal/peba"
 	"dapes/internal/phy"
 	"dapes/internal/rpf"
@@ -39,11 +41,17 @@ type Peer struct {
 	// Name-keyed maps are keyed by ndn.Name.AppendKey, which keeps names
 	// that share a URI form apart; lookups encode into keyBuf (nameKey).
 	collections map[string]*collectionState
-	wanted      []ndn.Name
+	wanted      [][]byte // the AppendKey of each subscription prefix
 	neighbors   map[int]*neighbor
 	keyBuf      []byte
 	// advert is the scratch every received bitmap payload is decoded into.
 	advert advert
+	// idParams is this peer's discovery-beacon AppParams (its ID), and
+	// replyPrefix its discovery-reply name prefix (discoveryReplyPrefix).
+	idParams    []byte
+	replyPrefix ndn.Name
+	// offerBuf is maybeSendDiscoveryReply's scratch offer list.
+	offerBuf []ndn.Name
 
 	beaconPeriod   time.Duration
 	beaconT        *sim.Timer
@@ -53,7 +61,7 @@ type Peer struct {
 	replySeq       int
 	bitmapReqSeq   int
 
-	nonceSeen      map[uint32]time.Duration
+	nonces         nfd.NonceTable
 	pendingReplies map[string]*replyTimer
 	forwarded      map[string]*forwardRecord
 	suppressed     map[string]time.Duration
@@ -81,7 +89,6 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, key *keys
 		cfg:            cfg.withDefaults(),
 		collections:    make(map[string]*collectionState),
 		neighbors:      make(map[int]*neighbor),
-		nonceSeen:      make(map[uint32]time.Duration),
 		pendingReplies: make(map[string]*replyTimer),
 		forwarded:      make(map[string]*forwardRecord),
 		suppressed:     make(map[string]time.Duration),
@@ -90,6 +97,8 @@ func NewPeer(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, key *keys
 	p.sweepT = k.NewTimer(p.sweepTick)
 	p.radio = medium.Attach(mobility)
 	p.id = p.radio.ID()
+	p.idParams = binary.BigEndian.AppendUint32(nil, uint32(p.id))
+	p.replyPrefix = discoveryReplyPrefix(p.id)
 	p.beaconPeriod = p.cfg.BeaconPeriodMin
 	p.radio.SetHandler(p.onFrame)
 	return p
@@ -172,7 +181,7 @@ func (p *Peer) Stop() {
 
 // Subscribe declares interest in any collection whose name matches prefix.
 func (p *Peer) Subscribe(prefix ndn.Name) {
-	p.wanted = append(p.wanted, prefix.Clone())
+	p.wanted = append(p.wanted, prefix.AppendKey(nil))
 }
 
 // Publish installs a locally produced collection: the peer holds every
@@ -237,6 +246,10 @@ func (p *Peer) HasPacket(collection ndn.Name, idx int) bool {
 // NeighborCount returns the number of live neighbors.
 func (p *Peer) NeighborCount() int { return len(p.neighbors) }
 
+// NonceCount returns the number of Interest nonces the peer remembers for
+// duplicate suppression.
+func (p *Peer) NonceCount() int { return p.nonces.Len() }
+
 // ForwardingAccuracy returns the fraction of forwarded Interests that
 // brought Data back — the paper reports 83% for DAPES (Section VI-D).
 func (p *Peer) ForwardingAccuracy() float64 {
@@ -263,7 +276,7 @@ func (p *Peer) MemoryFootprint() int {
 			total += bm.Len() / 8
 		}
 	}
-	total += len(p.forwarded)*48 + len(p.suppressed)*40 + len(p.nonceSeen)*12
+	total += len(p.forwarded)*48 + len(p.suppressed)*40 + p.nonces.Len()*12
 	return total
 }
 
@@ -305,7 +318,7 @@ func (p *Peer) sendDiscoveryInterest() {
 		Name:        discoveryInterestName(),
 		CanBePrefix: true,
 		Nonce:       p.newNonce(),
-		AppParams:   binary.BigEndian.AppendUint32(nil, uint32(p.id)),
+		AppParams:   p.idParams,
 	}
 	p.stats.DiscoveryInterestsSent++
 	p.medium.Broadcast(p.radio, in.Encode())
@@ -328,11 +341,7 @@ func (p *Peer) sweepTick() {
 			}
 		}
 	}
-	for nonce, at := range p.nonceSeen {
-		if now-at > 4*time.Second {
-			delete(p.nonceSeen, nonce)
-		}
-	}
+	p.nonces.Sweep(now)
 	for name, until := range p.suppressed {
 		if now > until {
 			delete(p.suppressed, name)
@@ -353,7 +362,7 @@ func (p *Peer) neighborHeard(id int) *neighbor {
 	}
 	n, ok := p.neighbors[id]
 	if !ok {
-		n = &neighbor{id: id, offers: make(map[string]ndn.Name)}
+		n = &neighbor{id: id, offers: make(map[string]struct{})}
 		p.neighbors[id] = n
 		p.recentActivity = true
 	}
@@ -363,7 +372,7 @@ func (p *Peer) neighborHeard(id int) *neighbor {
 
 func (p *Peer) newNonce() uint32 {
 	n := uint32(p.k.RNG().Int63())
-	p.nonceSeen[n] = p.k.Now()
+	p.nonces.Record(n, p.k.Now())
 	return n
 }
 
@@ -387,10 +396,9 @@ func (p *Peer) onFrame(f phy.Frame) {
 }
 
 func (p *Peer) handleInterest(from int, in *ndn.Interest) {
-	if at, seen := p.nonceSeen[in.Nonce]; seen && p.k.Now()-at < 2*time.Second {
+	if p.nonces.Duplicate(in.Nonce, p.k.Now()) {
 		return // duplicate or loop
 	}
-	p.nonceSeen[in.Nonce] = p.k.Now()
 
 	if sender, ok := isDiscoveryInterest(in); ok {
 		p.neighborHeard(sender)
@@ -434,37 +442,40 @@ func (p *Peer) handleData(from int, d *ndn.Data) {
 
 // maybeSendDiscoveryReply answers a discovery Interest with the metadata
 // names this peer can offer, rate-limited to one reply per beacon minimum.
+// The rate limit is checked first, so a limited reply builds nothing.
 func (p *Peer) maybeSendDiscoveryReply() {
-	var offers []ndn.Name
+	now := p.k.Now()
+	if now-p.lastReplyAt < p.cfg.BeaconPeriodMin/2 && p.lastReplyAt != 0 {
+		return
+	}
+	offers := p.offerBuf[:0]
 	for _, cs := range p.collections {
 		if cs.manifest != nil {
 			offers = append(offers, cs.metaName)
 		}
 	}
+	p.offerBuf = offers
 	if len(offers) == 0 {
 		return
 	}
 	// The offer list is encoded into the reply payload: sort it so the wire
 	// bytes don't inherit map-iteration order when a peer publishes more
 	// than one collection.
-	sort.Slice(offers, func(i, j int) bool { return offers[i].Compare(offers[j]) < 0 })
-	now := p.k.Now()
-	if now-p.lastReplyAt < p.cfg.BeaconPeriodMin/2 && p.lastReplyAt != 0 {
-		return
-	}
+	slices.SortFunc(offers, ndn.Name.Compare)
 	p.lastReplyAt = now
 	p.replySeq++
 	d := &ndn.Data{
-		Name:    discoveryReplyName(p.id, p.replySeq),
+		Name:    p.replyPrefix.AppendSeq(p.replySeq),
 		Content: discoveryPayload{MetadataNames: offers}.encode(),
 	}
 	d.SignDigest()
+	wire := d.Encode()
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running {
 			return
 		}
 		p.stats.DiscoveryDataSent++
-		p.medium.Broadcast(p.radio, d.Encode())
+		p.medium.Broadcast(p.radio, wire)
 	})
 }
 
@@ -475,36 +486,39 @@ func (p *Peer) handleDiscoveryReply(responder int, d *ndn.Data) {
 	if n == nil {
 		return
 	}
-	payload, err := decodeDiscoveryPayload(d.Content)
+	offers, err := readOffers(d.Content)
 	if err != nil {
 		return
 	}
-	for _, metaName := range payload.MetadataNames {
+	for metaURI, more := offers.next(); more; metaURI, more = offers.next() {
 		// Metadata names end with /metadata-file/<version>; the collection
 		// is the prefix before those two components.
-		if metaName.Len() < 3 {
+		collURI, ok := offeredCollection(metaURI)
+		if !ok {
 			continue
 		}
-		collection := metaName.Prefix(metaName.Len() - 2)
-		// Only the offer's presence is ever read, so a repeat offer keeps
-		// the first entry and its key.
-		if _, known := n.offers[string(p.nameKey(collection))]; !known {
-			n.offers[string(p.nameKey(collection))] = metaName
+		p.keyBuf = ndn.AppendURIKey(p.keyBuf[:0], collURI)
+		key := p.keyBuf
+		// Look up first: an insert copies the key into a new string.
+		if _, known := n.offers[string(key)]; !known {
+			n.offers[string(key)] = struct{}{}
 		}
 
-		if !p.wants(collection) {
+		if !p.wants(key) {
 			continue
 		}
-		cs, ok := p.collections[string(p.nameKey(collection))]
+		cs, ok := p.collections[string(key)]
 		if !ok {
-			cs = newCollectionState(collection)
+			metaName := ndn.ParseName(string(metaURI))
+			cs = newCollectionState(metaName[:len(metaName)-2])
+			cs.metaName = metaName
 			cs.subscribed = true
 			cs.startedAt = p.k.Now()
 			p.collections[cs.key] = cs
 		}
 		cs.subscribed = true
 		if cs.metaName == nil {
-			cs.metaName = metaName.Clone()
+			cs.metaName = ndn.ParseName(string(metaURI))
 		}
 		if cs.manifest == nil {
 			p.requestNextMetaSegment(cs)
@@ -515,10 +529,13 @@ func (p *Peer) handleDiscoveryReply(responder int, d *ndn.Data) {
 	}
 }
 
-// wants reports whether the collection matches any subscription prefix.
-func (p *Peer) wants(collection ndn.Name) bool {
+// wants reports whether the collection whose key (ndn.Name.AppendKey) is
+// key matches any subscription prefix. A name is a prefix of another
+// exactly when its key is a byte prefix of the other's: each component's
+// encoding starts with its length.
+func (p *Peer) wants(key []byte) bool {
 	for _, w := range p.wanted {
-		if w.IsPrefixOf(collection) {
+		if bytes.HasPrefix(key, w) {
 			return true
 		}
 	}
@@ -546,12 +563,13 @@ func (p *Peer) requestNextMetaSegment(cs *collectionState) {
 		return
 	}
 	in := &ndn.Interest{Name: cs.metaName.AppendSeq(seq), Nonce: p.newNonce()}
+	wire := in.Encode()
 	p.k.ScheduleFunc(p.k.Jitter(p.cfg.TransmissionWindow), func() {
 		if !p.running || cs.manifest != nil {
 			return
 		}
 		p.stats.MetaInterestsSent++
-		p.medium.Broadcast(p.radio, in.Encode())
+		p.medium.Broadcast(p.radio, wire)
 	})
 	if cs.metaT == nil {
 		cs.metaT = p.k.NewTimer(func() { p.requestNextMetaSegment(cs) })

@@ -15,9 +15,9 @@ import (
 type neighbor struct {
 	id        int
 	lastHeard time.Duration
-	// offers maps collection key (ndn.Name.AppendKey) -> metadata name,
-	// learned from discovery.
-	offers map[string]ndn.Name
+	// offers holds the keys (ndn.Name.AppendKey) of the collections the
+	// neighbor offered in discovery; only their presence is read.
+	offers map[string]struct{}
 }
 
 // advertSession is the per-encounter bitmap exchange state (Section IV-F):
@@ -40,6 +40,15 @@ type collectionState struct {
 	collection ndn.Name
 	key        string   // collection.AppendKey: this state's map key
 	metaName   ndn.Name // learned from discovery (or Publish)
+
+	// The names and URI this peer's bitmap sends carry, built once:
+	// bitmapName is bitmapInterestName(collection) (so it caches the
+	// collectionKey), uri the payload's collection URI, and dataPrefix
+	// this peer's advertisement-name prefix, built on its first
+	// advertisement.
+	bitmapName ndn.Name
+	uri        string
+	dataPrefix ndn.Name
 
 	// Metadata fetch progress. metaT is the segment-retry timer, created
 	// lazily and re-armed for the collection's whole life; armed (Pending)
@@ -88,6 +97,8 @@ func newCollectionState(collection ndn.Name) *collectionState {
 	return &collectionState{
 		collection: collection.Clone(),
 		key:        string(collection.AppendKey(nil)),
+		bitmapName: bitmapInterestName(collection),
+		uri:        collection.String(),
 		metaSegs:   make(map[int]*ndn.Data),
 		metaTotal:  -1,
 		packets:    make(map[int]*ndn.Data),

@@ -25,9 +25,9 @@ func TestCompletionCounterMatchesScan(t *testing.T) {
 			var evals, falls int
 			var mismatch string
 			last := int64(0)
-			completionProbe = func(held int64, coll ndn.Name, downloaders []*core.Peer) {
+			trialProbe = func(_ world, held int64, coll ndn.Name, ps dapesPeers) bool {
 				scan := int64(0)
-				for _, p := range downloaders {
+				for _, p := range ps.downloaders {
 					if done, _ := p.Done(coll); done {
 						scan++
 					}
@@ -39,8 +39,9 @@ func TestCompletionCounterMatchesScan(t *testing.T) {
 					falls++
 				}
 				evals, last = evals+1, held
+				return false
 			}
-			defer func() { completionProbe = nil }()
+			defer func() { trialProbe = nil }()
 
 			res, err := Runner{Workers: 1}.RunScenario("urban-grid-chaos", s, 60)
 			if err != nil {

@@ -99,7 +99,7 @@ func runDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, loo
 		return TrialResult{}, err
 	}
 
-	var ps dapesPeers
+	ps := dapesPeers{producer: producer}
 	addDownloader := func(m geo.Mobility) {
 		p := peer(m)
 		p.Subscribe(collection)
@@ -143,6 +143,7 @@ func runDAPESTrial(s Scale, wifiRange float64, trial int, opts DAPESOptions, loo
 
 // dapesPeers are one trial's DAPES nodes by role, in world build order.
 type dapesPeers struct {
+	producer                   *core.Peer
 	downloaders, intermediates []*core.Peer
 	pures                      []*multihop.PureForwarder
 }
@@ -155,23 +156,22 @@ type dapesPeers struct {
 type completions struct {
 	held atomic.Int64
 	want int64
-
-	// collection and downloaders are kept for completionProbe only.
-	collection  ndn.Name
-	downloaders []*core.Peer
 }
 
-// completionProbe, when non-nil, is called at every evaluation of a
-// completions predicate with the counter's value. Only tests set it, to
-// hold the counter against a scan of core.Peer.Done.
-var completionProbe func(held int64, collection ndn.Name, downloaders []*core.Peer)
+// trialProbe, when non-nil, is called at every evaluation of a DAPES
+// trial's stop condition with the world, the completion counter's value,
+// the collection and the trial's nodes; while it returns true the trial
+// does not stop before its horizon. Only tests set it: to hold the counter
+// against a scan of core.Peer.Done, and to watch table sizes over a whole
+// soak horizon.
+var trialProbe func(w world, held int64, collection ndn.Name, ps dapesPeers) (hold bool)
 
 // watchCompletions installs the counting callbacks on every downloader —
 // replacing any callbacks installed before — and seeds the count with the
 // downloaders already holding the collection. It is the one place a
 // trial's completion condition is built.
 func watchCompletions(collection ndn.Name, downloaders []*core.Peer) *completions {
-	c := &completions{want: int64(len(downloaders)), collection: collection, downloaders: downloaders}
+	c := &completions{want: int64(len(downloaders))}
 	for _, p := range downloaders {
 		if done, _ := p.Done(collection); done {
 			c.held.Add(1)
@@ -192,11 +192,7 @@ func watchCompletions(collection ndn.Name, downloaders []*core.Peer) *completion
 
 // all reports whether every downloader holds the collection.
 func (c *completions) all() bool {
-	held := c.held.Load()
-	if completionProbe != nil {
-		completionProbe(held, c.collection, c.downloaders)
-	}
-	return held == c.want
+	return c.held.Load() == c.want
 }
 
 // runDAPES drives the world until every downloader holds the collection or
@@ -206,6 +202,9 @@ func (c *completions) all() bool {
 func (w world) runDAPES(collection ndn.Name, ps dapesPeers, sched fault.Schedule, horizon, faultsUntil time.Duration) TrialResult {
 	c := watchCompletions(collection, ps.downloaders)
 	w.sk.RunUntil(horizon, func() bool {
+		if trialProbe != nil && trialProbe(w, c.held.Load(), collection, ps) {
+			return false
+		}
 		return c.all() && w.sk.Now() >= faultsUntil
 	})
 	result := collectDAPES(w.sm.Stats().Transmissions, collection, ps, horizon)

@@ -16,7 +16,9 @@ import (
 // table, Decode, into the same Plan). '#' starts a comment, blank lines
 // are skipped, and an optional `[faults]` header line is accepted so a
 // section can be copy-pasted out of a plan file verbatim. Durations are
-// quoted Go duration strings ("90s"); everything else is a number.
+// Go duration strings and strings are written quoted ("90s"), as in a
+// plan file, or unquoted (90s), which only this format takes; an empty
+// duration is an error in either reader; everything else is a number.
 // Parse returns an error — never panics — on malformed input
 // (FuzzFaultPlan pins that against a committed corpus).
 

@@ -39,11 +39,27 @@ func invalidatedWrite(d *ndn.Data) {
 }
 
 // freshPacket builds and signs a new packet before any encode: no cache, no
-// diagnostic (Sign/SignDigest invalidate internally).
+// diagnostic.
 func freshPacket(payload []byte) []byte {
 	d := &ndn.Data{Content: payload}
 	d.SignDigest()
 	return d.Encode()
+}
+
+// signedWrite mutates a field after SignDigest, which caches the signed
+// wire form.
+func signedWrite(d *ndn.Data) {
+	d.SignDigest()
+	d.Content = nil // want `field write d\.Content after the packet's wire form was cached`
+}
+
+// resigned changes a field and signs again: Sign drops the cached wire.
+func resigned(d *ndn.Data, s ndn.Signer) {
+	d.SignDigest()
+	d.InvalidateWire()
+	d.Freshness = 0
+	d.Sign(s)
+	d.Content = nil
 }
 
 // suppressed shows the escape hatch for an owner that re-encodes on purpose.

@@ -14,10 +14,10 @@ import (
 //     Data.Content, Data.SigValue, Packet.Wire(), and the slice returned by
 //     Encode — are views into a frame shared by every receiver of the
 //     broadcast. Writing through them corrupts the packet for everyone.
-//   - A packet that has been encoded or decoded caches its wire form.
-//     Mutating its fields afterwards without calling InvalidateWire (or
-//     Sign/SignDigest, which invalidate internally) silently re-broadcasts
-//     the stale cached bytes.
+//   - A packet that has been encoded, digest-signed (SignDigest caches the
+//     signed wire) or decoded caches its wire form. Mutating its fields
+//     afterwards without calling InvalidateWire (or Sign, which invalidates
+//     internally) silently re-broadcasts the stale cached bytes.
 var WireImmut = &Analyzer{
 	Name: "wireimmut",
 	Doc: "Slices returned by DecodeInterest/DecodeData/Packet accessors are " +
@@ -189,7 +189,7 @@ func checkViewWrites(pass *Pass, body *ast.BlockStmt, views map[types.Object]boo
 // ordered by source position.
 type wireEvent struct {
 	pos  token.Pos
-	kind int // 0 = wire cached (Encode / decode init), 1 = cache dropped (InvalidateWire/Sign/SignDigest), 2 = field write
+	kind int // 0 = wire cached (Encode / SignDigest / decode init), 1 = cache dropped (InvalidateWire/Sign), 2 = field write
 	node ast.Node
 	name string // field name for writes
 }
@@ -197,8 +197,8 @@ type wireEvent struct {
 // checkStaleWireWrites flags field assignments on an *ndn.Interest or
 // *ndn.Data variable whose wire form is cached at that point: after the
 // variable was returned by DecodeInterest/DecodeData/Packet.Interest/
-// Packet.Data, or after Encode was called on it, with no intervening
-// InvalidateWire/Sign/SignDigest.
+// Packet.Data, or after Encode or SignDigest was called on it, with no
+// intervening InvalidateWire/Sign.
 func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 	events := map[types.Object][]wireEvent{}
 	add := func(obj types.Object, ev wireEvent) {
@@ -262,9 +262,9 @@ func checkStaleWireWrites(pass *Pass, body *ast.BlockStmt) {
 				return true
 			}
 			switch sel.Sel.Name {
-			case "Encode":
+			case "Encode", "SignDigest":
 				add(obj, wireEvent{pos: n.Pos(), kind: 0})
-			case "InvalidateWire", "Sign", "SignDigest":
+			case "InvalidateWire", "Sign":
 				add(obj, wireEvent{pos: n.Pos(), kind: 1})
 			}
 		}

@@ -71,7 +71,7 @@ type PureForwarder struct {
 
 	// Name-keyed maps are keyed by ndn.Name.AppendKey, which keeps names
 	// that share a URI form apart; lookups encode into keyBuf (nameKey).
-	nonceSeen      map[uint32]time.Duration
+	nonces         nfd.NonceTable
 	forwarded      map[string]*forwardRecord
 	suppressed     map[string]time.Duration
 	pendingReplies map[string]*replyTimer
@@ -135,7 +135,6 @@ func NewPureForwarder(k *sim.Kernel, medium *phy.Medium, mobility geo.Mobility, 
 		k:              k,
 		medium:         medium,
 		cfg:            cfg.withDefaults(),
-		nonceSeen:      make(map[uint32]time.Duration),
 		forwarded:      make(map[string]*forwardRecord),
 		suppressed:     make(map[string]time.Duration),
 		pendingReplies: make(map[string]*replyTimer),
@@ -161,6 +160,10 @@ func (f *PureForwarder) Stats() Stats { return f.stats }
 
 // CsLen returns the number of cached packets.
 func (f *PureForwarder) CsLen() int { return f.cs.Len() }
+
+// NonceCount returns the number of Interest nonces the forwarder remembers
+// for duplicate suppression.
+func (f *PureForwarder) NonceCount() int { return f.nonces.Len() }
 
 // Start activates the node.
 func (f *PureForwarder) Start() {
@@ -192,11 +195,7 @@ func (f *PureForwarder) sweep() {
 			delete(f.forwarded, n)
 		}
 	}
-	for nonce, at := range f.nonceSeen {
-		if now-at > 4*time.Second {
-			delete(f.nonceSeen, nonce)
-		}
-	}
+	f.nonces.Sweep(now)
 	f.sweepT.Reset(f.cfg.SuppressTTL)
 }
 
@@ -216,10 +215,9 @@ func (f *PureForwarder) onFrame(fr phy.Frame) {
 }
 
 func (f *PureForwarder) onInterest(in *ndn.Interest) {
-	if at, seen := f.nonceSeen[in.Nonce]; seen && f.k.Now()-at < 2*time.Second {
+	if f.nonces.Duplicate(in.Nonce, f.k.Now()) {
 		return
 	}
-	f.nonceSeen[in.Nonce] = f.k.Now()
 	f.stats.InterestsHeard++
 
 	// Satisfy from cache: overheard transmissions serve future requests.

@@ -2,6 +2,7 @@ package ndn
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -85,27 +86,44 @@ func (i *Interest) Encode() []byte {
 	if i.wire != nil {
 		return i.wire
 	}
-	var inner []byte
-	inner = encodeName(inner, i.Name)
+	ms := uint64(i.Lifetime / time.Millisecond)
+	inner := tlvLen(tlvName, nameLen(i.Name)) + tlvLen(tlvNonce, 4)
 	if i.CanBePrefix {
-		inner = appendTLV(inner, tlvCanBePrefix, nil)
+		inner += tlvLen(tlvCanBePrefix, 0)
 	}
 	if i.MustBeFresh {
-		inner = appendTLV(inner, tlvMustBeFresh, nil)
+		inner += tlvLen(tlvMustBeFresh, 0)
 	}
-	nonce := []byte{byte(i.Nonce >> 24), byte(i.Nonce >> 16), byte(i.Nonce >> 8), byte(i.Nonce)}
-	inner = appendTLV(inner, tlvNonce, nonce)
 	if i.Lifetime > 0 {
-		inner = appendNonNegTLV(inner, tlvInterestLifetime, uint64(i.Lifetime/time.Millisecond))
+		inner += tlvLen(tlvInterestLifetime, nonNegLen(ms))
 	}
 	if i.HopLimit > 0 {
-		inner = appendTLV(inner, tlvHopLimit, []byte{i.HopLimit})
+		inner += tlvLen(tlvHopLimit, 1)
 	}
 	if len(i.AppParams) > 0 {
-		inner = appendTLV(inner, tlvApplicationParameters, i.AppParams)
+		inner += tlvLen(tlvApplicationParameters, len(i.AppParams))
 	}
-	i.wire = appendTLV(nil, tlvInterest, inner)
-	return i.wire
+	b := make([]byte, 0, tlvLen(tlvInterest, inner))
+	b = appendTLVHeader(b, tlvInterest, inner)
+	b = encodeName(b, i.Name)
+	if i.CanBePrefix {
+		b = appendTLVHeader(b, tlvCanBePrefix, 0)
+	}
+	if i.MustBeFresh {
+		b = appendTLVHeader(b, tlvMustBeFresh, 0)
+	}
+	b = binary.BigEndian.AppendUint32(appendTLVHeader(b, tlvNonce, 4), i.Nonce)
+	if i.Lifetime > 0 {
+		b = appendNonNegTLV(b, tlvInterestLifetime, ms)
+	}
+	if i.HopLimit > 0 {
+		b = append(appendTLVHeader(b, tlvHopLimit, 1), i.HopLimit)
+	}
+	if len(i.AppParams) > 0 {
+		b = appendTLV(b, tlvApplicationParameters, i.AppParams)
+	}
+	i.wire = b
+	return b
 }
 
 // DecodeInterest parses a TLV-encoded Interest. The decode is zero-copy:
@@ -176,8 +194,9 @@ type SignatureInfo struct {
 // caches the wire form (so a Content Store hit or a multi-hop relay answers
 // with the original frame, never a re-serialization), and DecodeData records
 // the frame it parsed. A packet that has been encoded or decoded is
-// immutable; Sign/SignDigest invalidate the cache themselves, any other
-// field change requires InvalidateWire first.
+// immutable; Sign invalidates the cache and SignDigest replaces it with the
+// newly signed wire, and any other field change requires InvalidateWire
+// first.
 type Data struct {
 	Name      Name
 	Type      uint64
@@ -197,41 +216,78 @@ type Data struct {
 // the current field values.
 func (d *Data) InvalidateWire() { d.wire = nil }
 
-// signedPortion serializes the fields covered by the signature: Name,
-// MetaInfo, Content, and SignatureInfo.
-func (d *Data) signedPortion() []byte {
-	var b []byte
-	b = encodeName(b, d.Name)
-	var meta []byte
+// dataLens holds the value sizes of a Data packet's nested TLVs, measured
+// before its one-buffer serialization.
+type dataLens struct {
+	meta, sigInfo, keyLocator int
+	signed                    int // the whole signed portion, headers included
+}
+
+// lens measures the packet's nested TLVs.
+func (d *Data) lens() dataLens {
+	var l dataLens
 	if d.Type != ContentTypeBlob {
-		meta = appendNonNegTLV(meta, tlvContentType, d.Type)
+		l.meta += tlvLen(tlvContentType, nonNegLen(d.Type))
 	}
 	if d.Freshness > 0 {
-		meta = appendNonNegTLV(meta, tlvFreshnessPeriod, freshnessMs(d.Freshness))
+		l.meta += tlvLen(tlvFreshnessPeriod, nonNegLen(freshnessMs(d.Freshness)))
 	}
-	b = appendTLV(b, tlvMetaInfo, meta)
-	b = appendTLV(b, tlvContent, d.Content)
-	var si []byte
-	si = appendNonNegTLV(si, tlvSignatureType, d.SigInfo.Type)
+	l.sigInfo = tlvLen(tlvSignatureType, nonNegLen(d.SigInfo.Type))
 	if len(d.SigInfo.KeyLocator) > 0 {
-		var kl []byte
-		kl = encodeName(kl, d.SigInfo.KeyLocator)
-		si = appendTLV(si, tlvKeyLocator, kl)
+		l.keyLocator = tlvLen(tlvName, nameLen(d.SigInfo.KeyLocator))
+		l.sigInfo += tlvLen(tlvKeyLocator, l.keyLocator)
 	}
-	b = appendTLV(b, tlvSignatureInfo, si)
+	l.signed = tlvLen(tlvName, nameLen(d.Name)) + tlvLen(tlvMetaInfo, l.meta) +
+		tlvLen(tlvContent, len(d.Content)) + tlvLen(tlvSignatureInfo, l.sigInfo)
+	return l
+}
+
+// appendSignedPortion appends the fields covered by the signature: Name,
+// MetaInfo, Content, and SignatureInfo.
+func (d *Data) appendSignedPortion(b []byte, l dataLens) []byte {
+	b = encodeName(b, d.Name)
+	b = appendTLVHeader(b, tlvMetaInfo, l.meta)
+	if d.Type != ContentTypeBlob {
+		b = appendNonNegTLV(b, tlvContentType, d.Type)
+	}
+	if d.Freshness > 0 {
+		b = appendNonNegTLV(b, tlvFreshnessPeriod, freshnessMs(d.Freshness))
+	}
+	b = appendTLV(b, tlvContent, d.Content)
+	b = appendTLVHeader(b, tlvSignatureInfo, l.sigInfo)
+	b = appendNonNegTLV(b, tlvSignatureType, d.SigInfo.Type)
+	if len(d.SigInfo.KeyLocator) > 0 {
+		b = appendTLVHeader(b, tlvKeyLocator, l.keyLocator)
+		b = encodeName(b, d.SigInfo.KeyLocator)
+	}
 	return b
+}
+
+// signedPortion serializes the signed portion into a buffer of its own.
+func (d *Data) signedPortion() []byte {
+	l := d.lens()
+	return d.appendSignedPortion(make([]byte, 0, l.signed), l)
+}
+
+// marshal serializes the whole packet with SignatureValue sig into one
+// exact-size buffer, returning it and the offset of the signed portion.
+func (d *Data) marshal(sig []byte) (wire []byte, signedAt int) {
+	l := d.lens()
+	inner := l.signed + tlvLen(tlvSignatureValue, len(sig))
+	b := make([]byte, 0, tlvLen(tlvData, inner))
+	b = appendTLVHeader(b, tlvData, inner)
+	signedAt = len(b)
+	b = d.appendSignedPortion(b, l)
+	return appendTLV(b, tlvSignatureValue, sig), signedAt
 }
 
 // Encode returns the Data packet's TLV wire form, serializing at most once
 // (see the type docs). The signature value must already be populated (via
 // Sign or SignDigest). Callers must not modify the returned slice.
 func (d *Data) Encode() []byte {
-	if d.wire != nil {
-		return d.wire
+	if d.wire == nil {
+		d.wire, _ = d.marshal(d.SigValue)
 	}
-	inner := d.signedPortion()
-	inner = appendTLV(inner, tlvSignatureValue, d.SigValue)
-	d.wire = appendTLV(nil, tlvData, inner)
 	return d.wire
 }
 
@@ -326,12 +382,18 @@ func (d *Data) Digest() [32]byte {
 	return sha256.Sum256(d.signedPortion())
 }
 
-// SignDigest populates an integrity-only DigestSha256 "signature".
+// SignDigest populates an integrity-only DigestSha256 "signature". It
+// serializes the packet once: the digest is taken over the signed portion
+// of the new wire form, written into its SignatureValue, and the wire is
+// cached, so the Encode that follows returns it (SigValue views into it).
 func (d *Data) SignDigest() {
 	d.SigInfo = SignatureInfo{Type: SigTypeDigestSha256}
-	sum := d.Digest()
-	d.SigValue = sum[:]
-	d.wire = nil // signature changed: any cached wire is stale
+	var placeholder [sha256.Size]byte
+	wire, at := d.marshal(placeholder[:])
+	sig := wire[len(wire)-sha256.Size:]
+	sum := sha256.Sum256(wire[at : len(wire)-tlvLen(tlvSignatureValue, sha256.Size)])
+	copy(sig, sum[:])
+	d.SigValue, d.wire = sig, wire
 }
 
 // VerifyDigest checks a DigestSha256 signature.

@@ -81,28 +81,67 @@ func readVarNum(b []byte) (uint64, int, error) {
 	}
 }
 
+// varNumLen returns the size of appendVarNum's encoding of v.
+func varNumLen(v uint64) int {
+	switch {
+	case v < 253:
+		return 1
+	case v <= 0xFFFF:
+		return 3
+	case v <= 0xFFFFFFFF:
+		return 5
+	default:
+		return 9
+	}
+}
+
+// tlvLen returns the encoded size of a TLV element whose value is l octets.
+func tlvLen(typ uint64, l int) int {
+	return varNumLen(typ) + varNumLen(uint64(l)) + l
+}
+
+// appendTLVHeader appends the type and length of a TLV element whose l
+// value octets the caller appends next. Nested elements are encoded this
+// way, sized first, so a packet serializes into one buffer.
+func appendTLVHeader(b []byte, typ uint64, l int) []byte {
+	b = appendVarNum(b, typ)
+	return appendVarNum(b, uint64(l))
+}
+
 // appendTLV appends one type-length-value element.
 func appendTLV(b []byte, typ uint64, value []byte) []byte {
-	b = appendVarNum(b, typ)
-	b = appendVarNum(b, uint64(len(value)))
-	return append(b, value...)
+	return append(appendTLVHeader(b, typ, len(value)), value...)
+}
+
+// nonNegLen returns the shortest of 1/2/4/8 octets that holds v.
+func nonNegLen(v uint64) int {
+	switch {
+	case v <= 0xFF:
+		return 1
+	case v <= 0xFFFF:
+		return 2
+	case v <= 0xFFFFFFFF:
+		return 4
+	default:
+		return 8
+	}
 }
 
 // appendNonNegTLV appends a TLV whose value is a big-endian non-negative
 // integer in the shortest of 1/2/4/8 octets.
 func appendNonNegTLV(b []byte, typ uint64, v uint64) []byte {
-	var val []byte
-	switch {
-	case v <= 0xFF:
-		val = []byte{byte(v)}
-	case v <= 0xFFFF:
-		val = binary.BigEndian.AppendUint16(nil, uint16(v))
-	case v <= 0xFFFFFFFF:
-		val = binary.BigEndian.AppendUint32(nil, uint32(v))
+	l := nonNegLen(v)
+	b = appendTLVHeader(b, typ, l)
+	switch l {
+	case 1:
+		return append(b, byte(v))
+	case 2:
+		return binary.BigEndian.AppendUint16(b, uint16(v))
+	case 4:
+		return binary.BigEndian.AppendUint32(b, uint32(v))
 	default:
-		val = binary.BigEndian.AppendUint64(nil, v)
+		return binary.BigEndian.AppendUint64(b, v)
 	}
-	return appendTLV(b, typ, val)
 }
 
 // decodeNonNeg parses a shortest-form non-negative integer value.
@@ -167,13 +206,24 @@ func (r *tlvReader) expect(typ uint64) ([]byte, error) {
 	return value, nil
 }
 
+// nameLen returns the value size of a name's Name TLV: the encoded size of
+// its components.
+func nameLen(n Name) int {
+	l := 0
+	for _, c := range n {
+		l += tlvLen(tlvGenericNameComponent, len(c))
+	}
+	return l
+}
+
 // encodeName appends the TLV encoding of a name.
 func encodeName(b []byte, n Name) []byte {
-	var inner []byte
+	b = appendTLVHeader(b, tlvName, nameLen(n))
 	for _, c := range n {
-		inner = appendTLV(inner, tlvGenericNameComponent, []byte(c))
+		b = appendTLVHeader(b, tlvGenericNameComponent, len(c))
+		b = append(b, c...)
 	}
-	return appendTLV(b, tlvName, inner)
+	return b
 }
 
 // decodeName parses a Name TLV value (the inner component sequence). The

@@ -16,7 +16,10 @@ import (
 // frame it was parsed from, so Encode returns those bytes verbatim (unknown
 // TLVs and non-canonical number forms included) — and the fuzz still guards
 // the property end-to-end: the re-decode must accept the cached wire and
-// reproduce the identical packet. Run with `go test -fuzz=FuzzTLVRoundTrip`
+// reproduce the identical packet. Every packet that decodes must also
+// re-serialize from its fields (wire cache dropped) to the nested-append
+// oracle's bytes (encode_oracle_test.go), and so must every seed packet
+// built here. Run with `go test -fuzz=FuzzTLVRoundTrip`
 // to explore; the seed corpus runs on every plain `go test`.
 func FuzzTLVRoundTrip(f *testing.F) {
 	it := &Interest{
@@ -56,9 +59,16 @@ func FuzzTLVRoundTrip(f *testing.F) {
 	hugeMeta = encodeName(hugeMeta, ParseName("/x"))
 	hugeMeta = appendTLV(hugeMeta, tlvMetaInfo, appendNonNegTLV(nil, tlvFreshnessPeriod, math.MaxUint64))
 	f.Add(appendTLV(nil, tlvData, hugeMeta))
+	for _, p := range []*Interest{it, mbf} {
+		checkAgainstOracle(f, p, nil)
+	}
+	for _, p := range []*Data{d, stale, subMs} {
+		checkAgainstOracle(f, nil, p)
+	}
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		if it, err := DecodeInterest(wire); err == nil {
+			checkAgainstOracle(t, it, nil)
 			re := it.Encode()
 			it2, err := DecodeInterest(re)
 			if err != nil {
@@ -69,6 +79,7 @@ func FuzzTLVRoundTrip(f *testing.F) {
 			}
 		}
 		if d, err := DecodeData(wire); err == nil {
+			checkAgainstOracle(t, nil, d)
 			re := d.Encode()
 			d2, err := DecodeData(re)
 			if err != nil {

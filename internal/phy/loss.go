@@ -52,11 +52,15 @@ type GEConfig struct {
 // with PGood==PBad==LossRate that is the i.i.d. reference's draw pattern,
 // making the two byte-identical.
 type GilbertElliott struct {
-	cfg    GEConfig
-	seed   int64
-	states map[int]*geState
+	cfg  GEConfig
+	seed int64
+	// states is indexed by radio identity, which Medium.Attach hands out
+	// densely from 0 (across a sharded composition too), and grows to the
+	// highest identity seen.
+	states []geState
 }
 
+// geState is one receiver's chain; rng is nil until its first reception.
 type geState struct {
 	bad bool
 	rng *rand.Rand
@@ -66,16 +70,18 @@ type geState struct {
 // chain (state evolution is a pure function of (seed, radio identity,
 // reception count)).
 func NewGilbertElliott(cfg GEConfig, seed int64) *GilbertElliott {
-	return &GilbertElliott{cfg: cfg, seed: seed, states: make(map[int]*geState)}
+	return &GilbertElliott{cfg: cfg, seed: seed}
 }
 
 // Drop steps the receiver's chain and then decides the loss with a single
 // kernel draw when the state's loss probability is positive.
 func (g *GilbertElliott) Drop(id int, rng *rand.Rand) bool {
-	st := g.states[id]
-	if st == nil {
-		st = &geState{rng: rand.New(rand.NewSource(g.seed + int64(id)*1_000_003 + 1))}
-		g.states[id] = st
+	if id >= len(g.states) {
+		g.states = append(g.states, make([]geState, id+1-len(g.states))...)
+	}
+	st := &g.states[id]
+	if st.rng == nil {
+		st.rng = rand.New(rand.NewSource(g.seed + int64(id)*1_000_003 + 1))
 	}
 	if st.bad {
 		if g.cfg.BadToGood > 0 && st.rng.Float64() < g.cfg.BadToGood {

@@ -158,8 +158,10 @@ func decodePlan(tree map[string]any) (*Plan, error) {
 			case *string:
 				*dst = d.str(fm, "faults", key, "")
 			case *time.Duration:
-				if s := d.str(fm, "faults", key, ""); s != "" {
-					if v, err := time.ParseDuration(s); err != nil {
+				// A present key must hold a duration: an empty string is
+				// an error, as it is for fault.Parse.
+				if _, ok := fm[key]; ok {
+					if v, err := time.ParseDuration(d.str(fm, "faults", key, "")); err != nil {
 						d.errf("faults.%s: %v", key, err)
 					} else {
 						*dst = v
